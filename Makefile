@@ -12,7 +12,7 @@ ci: vet lint build race
 vet:
 	$(GO) vet ./...
 
-# All eleven checks (run concurrently after the shared type-check
+# All nine checks (run concurrently after the shared type-check
 # load), with the repo's own _test.go files loaded too;
 # exits 1 on any finding, including malformed or stale directives.
 # vet rides along so `make lint` alone is the full static gate.
@@ -33,9 +33,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the tracked perf harness (cmd/bench): per-cell simulated
-# instructions/second with the stall fast-forward on and off, plus
-# per-class aggregates, written to BENCH_core.json at the repo root.
+# bench runs the tracked perf harness (cmd/bench): per-cell and per-chip
+# simulated instructions/second, per-class aggregates and matrix
+# throughput, written to BENCH_core.json at the repo root.
 bench:
 	$(GO) run ./cmd/bench -o BENCH_core.json
 

@@ -1,14 +1,14 @@
 // Command bench is the tracked performance harness: it measures simulator
 // throughput (simulated instructions per wall-clock second) per scheme on
-// memory-intensive and compute-intensive benchmarks, with the stall
-// fast-forward on and off, plus end-to-end matrix throughput (cells per
-// second), and writes the results as BENCH_core.json. Committing that file
-// alongside performance-relevant changes gives the repo a perf history the
-// same way results/*.csv give it a results history.
+// memory-intensive and compute-intensive benchmarks and per multicore
+// chip, plus end-to-end matrix throughput (cells per second), and writes
+// the results as BENCH_core.json. Committing that file alongside
+// performance-relevant changes gives the repo a perf history the same way
+// results/*.csv give it a results history.
 //
-// Every cell is measured in both fast-forward modes and the two runs'
-// statistics are compared — so `make bench` doubles as an end-to-end check
-// of the fast-forward equivalence contract on real workloads.
+// Every cell is also re-run through the scalar synthesis path and the two
+// runs' statistics are compared — so `make bench` doubles as an end-to-end
+// check of the batched-synthesis equivalence contract on real workloads.
 //
 // Usage:
 //
@@ -35,8 +35,9 @@ import (
 
 // schemaVersion identifies the BENCH_core.json layout; bump on any field
 // change so downstream tooling fails loudly instead of misreading.
-// v2: added the multicore chip cells.
-const schemaVersion = 2
+// v2: added the multicore chip cells. v3: dropped the stall fast-forward
+// on/off fields (the simulator has one cycle loop).
+const schemaVersion = 3
 
 // Report is the persisted benchmark report. The harness re-parses its own
 // output with DisallowUnknownFields before writing, so the file always
@@ -60,42 +61,28 @@ type Cell struct {
 	Scheme       string `json:"scheme"`
 	Bench        string `json:"bench"`
 	MemIntensive bool   `json:"memIntensive"`
-	// SimInstsPerSec is simulated instructions per wall-clock second with
-	// the stall fast-forward enabled (the default configuration).
+	// SimInstsPerSec is simulated instructions per wall-clock second.
 	SimInstsPerSec float64 `json:"simInstsPerSec"`
-	// SimInstsPerSecNoFF is the same measurement with -no-ff.
-	SimInstsPerSecNoFF float64 `json:"simInstsPerSecNoFF"`
-	// FFSpeedup is SimInstsPerSec / SimInstsPerSecNoFF.
-	FFSpeedup float64 `json:"ffSpeedup"`
-	IPC       float64 `json:"ipc"`
+	IPC            float64 `json:"ipc"`
 }
 
 // Aggregates summarises throughput per benchmark class.
 type Aggregates struct {
-	MemSimInstsPerSec         float64 `json:"memSimInstsPerSec"`
-	MemSimInstsPerSecNoFF     float64 `json:"memSimInstsPerSecNoFF"`
-	MemFFSpeedup              float64 `json:"memFFSpeedup"`
-	ComputeSimInstsPerSec     float64 `json:"computeSimInstsPerSec"`
-	ComputeSimInstsPerSecNoFF float64 `json:"computeSimInstsPerSecNoFF"`
-	ComputeFFSpeedup          float64 `json:"computeFFSpeedup"`
+	MemSimInstsPerSec     float64 `json:"memSimInstsPerSec"`
+	ComputeSimInstsPerSec float64 `json:"computeSimInstsPerSec"`
 }
 
 // MulticoreCell is one chip-level throughput measurement: a multicore
-// system running one benchmark and scheme per core, measured with the
-// chip-level stall fast-forward on and off. Throughput counts committed
-// instructions summed over all cores.
+// system running one benchmark and scheme per core. Throughput counts
+// committed instructions summed over all cores.
 type MulticoreCell struct {
 	Chip    string   `json:"chip"`
 	Cores   int      `json:"cores"`
 	Benches []string `json:"benches"`
 	Schemes []string `json:"schemes"`
 	// SimInstsPerSec is chip-wide simulated instructions per wall-clock
-	// second with the epoch fast-forward enabled (the default).
+	// second.
 	SimInstsPerSec float64 `json:"simInstsPerSec"`
-	// SimInstsPerSecNoFF is the same measurement with -no-ff.
-	SimInstsPerSecNoFF float64 `json:"simInstsPerSecNoFF"`
-	// FFSpeedup is SimInstsPerSec / SimInstsPerSecNoFF.
-	FFSpeedup float64 `json:"ffSpeedup"`
 }
 
 // Matrix is the end-to-end experiment-matrix throughput measurement.
@@ -108,22 +95,18 @@ type Matrix struct {
 
 func main() {
 	var (
-		out     = flag.String("o", "BENCH_core.json", "output path ('-' = stdout)")
-		n       = flag.Uint64("n", 200_000, "committed instructions measured per cell")
-		wu      = flag.Uint64("warmup", 40_000, "warmup instructions per cell")
-		iters   = flag.Int("iters", 3, "measurement iterations per cell (best is kept)")
-		quick   = flag.Bool("quick", false, "CI smoke mode: 1 iteration, tiny runs")
-		ffFloor = flag.Float64("ff-floor", 0.95, "fail if any cell's ffSpeedup lands below this after retries (0 disables)")
+		out   = flag.String("o", "BENCH_core.json", "output path ('-' = stdout)")
+		n     = flag.Uint64("n", 200_000, "committed instructions measured per cell")
+		wu    = flag.Uint64("warmup", 40_000, "warmup instructions per cell")
+		iters = flag.Int("iters", 3, "measurement iterations per cell (best is kept)")
+		quick = flag.Bool("quick", false, "CI smoke mode: 1 iteration, tiny runs")
 	)
 	flag.Parse()
 	if *quick {
 		*n, *wu, *iters = 20_000, 4_000, 1
-		// Tiny runs on shared CI runners are noise; the floor would only
-		// flake there. The full run keeps it as a regression tripwire.
-		*ffFloor = 0
 	}
 
-	rep, err := measure(*n, *wu, *iters, *ffFloor)
+	rep, err := measure(*n, *wu, *iters)
 	if err != nil {
 		fail(err)
 	}
@@ -146,9 +129,9 @@ func main() {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "bench: wrote %s (mem %.0f insts/s, %.1fx over -no-ff; chip %s %.1fx; matrix %.1f cells/s)\n",
-		*out, rep.Aggregates.MemSimInstsPerSec, rep.Aggregates.MemFFSpeedup,
-		rep.Multicore[0].Chip, rep.Multicore[0].FFSpeedup, rep.Matrix.CellsPerSec)
+	fmt.Fprintf(os.Stderr, "bench: wrote %s (mem %.0f insts/s; chip %s %.0f insts/s; matrix %.1f cells/s)\n",
+		*out, rep.Aggregates.MemSimInstsPerSec,
+		rep.Multicore[0].Chip, rep.Multicore[0].SimInstsPerSec, rep.Matrix.CellsPerSec)
 }
 
 // Validate parses a BENCH_core.json document strictly: unknown fields,
@@ -199,7 +182,7 @@ func benchCells() []struct {
 	return out
 }
 
-func measure(n, warmup uint64, iters int, ffFloor float64) (*Report, error) {
+func measure(n, warmup uint64, iters int) (*Report, error) {
 	rep := &Report{
 		SchemaVersion: schemaVersion,
 		GoVersion:     goVersion(),
@@ -209,7 +192,7 @@ func measure(n, warmup uint64, iters int, ffFloor float64) (*Report, error) {
 		Iterations:    iters,
 	}
 	cfg := config.Baseline()
-	var memFF, memNoFF, compFF, compNoFF time.Duration
+	var memDur, compDur time.Duration
 	var memInsts, compInsts uint64
 
 	for _, c := range benchCells() {
@@ -219,111 +202,42 @@ func measure(n, warmup uint64, iters int, ffFloor float64) (*Report, error) {
 		}
 		opt := sim.Options{Instructions: n, Warmup: warmup, Seed: 42}
 
-		ffDur, ffStats, err := timeCell(cfg, c.scheme, bench, opt, iters)
+		dur, stats, err := timeCell(cfg, c.scheme, bench, opt, iters)
 		if err != nil {
 			return nil, err
-		}
-		opt.NoFastForward = true
-		noFFDur, noFFStats, err := timeCell(cfg, c.scheme, bench, opt, iters)
-		if err != nil {
-			return nil, err
-		}
-		// The equivalence contract, checked end to end on every cell.
-		if !reflect.DeepEqual(ffStats, noFFStats) {
-			return nil, fmt.Errorf("%s/%s: fast-forward changed the results:\n on: %+v\noff: %+v",
-				c.scheme.Name, c.bench, ffStats, noFFStats)
 		}
 		// Batched-synthesis contract: the same cell driven through the
-		// scalar-only source face must be byte-identical too (the block
-		// path is what every run above used — Generator implements
-		// BlockSource).
+		// scalar-only source face must be byte-identical (the block path
+		// is what the timed runs used — Generator implements BlockSource).
 		scalarStats, err := runScalar(cfg, c.scheme, bench, opt)
 		if err != nil {
 			return nil, err
 		}
-		if !reflect.DeepEqual(ffStats, scalarStats) {
+		if !reflect.DeepEqual(stats, scalarStats) {
 			return nil, fmt.Errorf("%s/%s: batched synthesis changed the results:\n batched: %+v\n  scalar: %+v",
-				c.scheme.Name, c.bench, ffStats, scalarStats)
-		}
-		// The fast-forward must never *cost* throughput: with the
-		// busy-cycle progress guard, a fully-busy cell pays one counter
-		// compare per cycle, so any real slowdown is a regression. The
-		// floor sits at 0.95, not 1.0, because on runahead-busy cells
-		// (TR/libquantum skips only ~4% of cycles) the measured ratio
-		// hovers within the host's ±3% timing noise of parity — a real
-		// regression (the pre-guard probe cost) shows up well below
-		// 0.95. Both modes' wall clocks are noisy on small cells — keep
-		// best-of across retries before declaring a miss.
-		for attempt := 0; ffFloor > 0 && noFFDur.Seconds()/ffDur.Seconds() < ffFloor && attempt < 2; attempt++ {
-			opt.NoFastForward = false
-			d2, _, err := timeCell(cfg, c.scheme, bench, opt, iters)
-			if err != nil {
-				return nil, err
-			}
-			if d2 < ffDur {
-				ffDur = d2
-			}
-			opt.NoFastForward = true
-			d2, _, err = timeCell(cfg, c.scheme, bench, opt, iters)
-			if err != nil {
-				return nil, err
-			}
-			if d2 < noFFDur {
-				noFFDur = d2
-			}
-		}
-		if sp := noFFDur.Seconds() / ffDur.Seconds(); ffFloor > 0 && sp < ffFloor {
-			// Still under the floor: decide with one long-window A/B.
-			// Relative timing noise on ~50ms cells is several percent —
-			// the same order as the floor itself — so borderline cells
-			// get a 5x window whose ratio settles the question; the
-			// reported ffSpeedup keeps the standard-size measurement.
-			longOpt := opt
-			longOpt.Instructions = 5 * n
-			longOpt.NoFastForward = false
-			ffLong, _, err := timeCell(cfg, c.scheme, bench, longOpt, 2)
-			if err != nil {
-				return nil, err
-			}
-			longOpt.NoFastForward = true
-			noFFLong, _, err := timeCell(cfg, c.scheme, bench, longOpt, 2)
-			if err != nil {
-				return nil, err
-			}
-			if spLong := noFFLong.Seconds() / ffLong.Seconds(); spLong < ffFloor {
-				return nil, fmt.Errorf("%s/%s: ffSpeedup %.3f (long-window %.3f) below floor %.2f — the fast-forward is costing throughput",
-					c.scheme.Name, c.bench, sp, spLong, ffFloor)
-			}
+				c.scheme.Name, c.bench, stats, scalarStats)
 		}
 
 		total := warmup + n // throughput covers every simulated instruction
 		rep.Cells = append(rep.Cells, Cell{
-			Scheme:             c.scheme.Name,
-			Bench:              c.bench,
-			MemIntensive:       bench.MemoryIntensive,
-			SimInstsPerSec:     rate(total, ffDur),
-			SimInstsPerSecNoFF: rate(total, noFFDur),
-			FFSpeedup:          noFFDur.Seconds() / ffDur.Seconds(),
-			IPC:                ffStats.IPC(),
+			Scheme:         c.scheme.Name,
+			Bench:          c.bench,
+			MemIntensive:   bench.MemoryIntensive,
+			SimInstsPerSec: rate(total, dur),
+			IPC:            stats.IPC(),
 		})
 		if bench.MemoryIntensive {
-			memFF += ffDur
-			memNoFF += noFFDur
+			memDur += dur
 			memInsts += total
 		} else {
-			compFF += ffDur
-			compNoFF += noFFDur
+			compDur += dur
 			compInsts += total
 		}
 	}
 
 	rep.Aggregates = Aggregates{
-		MemSimInstsPerSec:         rate(memInsts, memFF),
-		MemSimInstsPerSecNoFF:     rate(memInsts, memNoFF),
-		MemFFSpeedup:              memNoFF.Seconds() / memFF.Seconds(),
-		ComputeSimInstsPerSec:     rate(compInsts, compFF),
-		ComputeSimInstsPerSecNoFF: rate(compInsts, compNoFF),
-		ComputeFFSpeedup:          compNoFF.Seconds() / compFF.Seconds(),
+		MemSimInstsPerSec:     rate(memInsts, memDur),
+		ComputeSimInstsPerSec: rate(compInsts, compDur),
 	}
 
 	m, err := measureMatrix(n/4, warmup/4)
@@ -351,10 +265,9 @@ type chipSpec struct {
 }
 
 // benchChips is the measured chip list: the memory-bound mix (four
-// memory-intensive benchmarks on baseline OoO cores — the configuration
-// the chip-level fast-forward targets), the same mix on all-RAR cores
-// (runahead keeps cores busy through misses, so the skip finds little),
-// and a heterogeneous scheme×bench chip covering the mixed deployment.
+// memory-intensive benchmarks on baseline OoO cores), the same mix on
+// all-RAR cores, and a heterogeneous scheme×bench chip covering the mixed
+// deployment.
 func benchChips() []chipSpec {
 	memMix := []string{"mcf", "libquantum", "soplex", "astar"}
 	return []chipSpec{
@@ -365,10 +278,7 @@ func benchChips() []chipSpec {
 	}
 }
 
-// timeChip measures one chip in both fast-forward modes (best of iters
-// each), cross-checking the per-core statistics between the two modes —
-// the chip-level face of the equivalence check every single-core cell
-// already gets.
+// timeChip measures one chip, keeping the best of iters runs.
 func timeChip(spec chipSpec, n uint64, iters int) (*MulticoreCell, error) {
 	cfg := config.Baseline()
 	var loads []multicore.Workload
@@ -382,50 +292,28 @@ func timeChip(spec chipSpec, n uint64, iters int) (*MulticoreCell, error) {
 		loads = append(loads, multicore.Workload{Bench: b, Scheme: s})
 		schemeNames = append(schemeNames, s.Name)
 	}
-	run := func(ff bool) (time.Duration, []core.Stats, error) {
-		var best time.Duration
-		var stats []core.Stats
-		for i := 0; i < iters; i++ {
-			sys, err := multicore.New(cfg, loads, 42)
-			if err != nil {
-				return 0, nil, err
-			}
-			sys.SetStallFastForward(ff)
-			start := time.Now() //rarlint:allow determinism wall-clock measurement is this harness's entire purpose; never enters simulated state
-			st, err := sys.Run(n)
-			dur := time.Since(start) //rarlint:allow determinism wall-clock measurement is this harness's entire purpose; never enters simulated state
-			if err != nil {
-				return 0, nil, fmt.Errorf("chip %s: %w", spec.name, err)
-			}
-			if i == 0 || dur < best {
-				best = dur
-			}
-			stats = st
+	var best time.Duration
+	for i := 0; i < iters; i++ {
+		sys, err := multicore.New(cfg, loads, 42)
+		if err != nil {
+			return nil, err
 		}
-		return best, stats, nil
+		start := time.Now() //rarlint:allow determinism wall-clock measurement is this harness's entire purpose; never enters simulated state
+		_, err = sys.Run(n)
+		dur := time.Since(start) //rarlint:allow determinism wall-clock measurement is this harness's entire purpose; never enters simulated state
+		if err != nil {
+			return nil, fmt.Errorf("chip %s: %w", spec.name, err)
+		}
+		if i == 0 || dur < best {
+			best = dur
+		}
 	}
-	ffDur, ffStats, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	noFFDur, noFFStats, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	// The equivalence contract, per core, checked end to end.
-	if !reflect.DeepEqual(ffStats, noFFStats) {
-		return nil, fmt.Errorf("chip %s: fast-forward changed the results:\n on: %+v\noff: %+v",
-			spec.name, ffStats, noFFStats)
-	}
-	total := n * uint64(len(loads))
 	return &MulticoreCell{
-		Chip:               spec.name,
-		Cores:              len(loads),
-		Benches:            spec.benches,
-		Schemes:            schemeNames,
-		SimInstsPerSec:     rate(total, ffDur),
-		SimInstsPerSecNoFF: rate(total, noFFDur),
-		FFSpeedup:          noFFDur.Seconds() / ffDur.Seconds(),
+		Chip:           spec.name,
+		Cores:          len(loads),
+		Benches:        spec.benches,
+		Schemes:        schemeNames,
+		SimInstsPerSec: rate(n*uint64(len(loads)), best),
 	}, nil
 }
 
@@ -442,7 +330,7 @@ func runScalar(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, opt
 	return st, nil
 }
 
-// timeCell runs one cell iters times in the given mode and returns the best
+// timeCell runs one cell iters times and returns the best
 // wall-clock duration plus the (deterministic) statistics.
 func timeCell(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, opt sim.Options, iters int) (time.Duration, core.Stats, error) {
 	var best time.Duration

@@ -3,7 +3,7 @@
 // tripwire that rides the per-PR snapshots under results/bench/: CI (or a
 // reviewer) runs
 //
-//	go run ./cmd/benchdiff results/bench/PR08.json BENCH_core.json
+//	go run ./cmd/benchdiff results/bench/PR12.json BENCH_core.json
 //
 // and gets a table of per-cell deltas plus a non-zero exit if any cell —
 // single-core, multicore chip, or the matrix throughput — lost more than
@@ -11,7 +11,7 @@
 //
 // Wall-clock benchmarks on shared machines are noisy; 10% is deliberately
 // loose enough that honest noise passes and a real regression (a hot-path
-// allocation, a lost fast-forward window) still trips. Cells present on
+// allocation, a slower stage loop) still trips. Cells present on
 // only one side are reported but never fail the diff, so adding or
 // retiring benchmarks doesn't require a flag day.
 package main
@@ -39,10 +39,9 @@ const (
 type report struct {
 	SchemaVersion int `json:"schemaVersion"`
 	Cells         []struct {
-		Scheme             string  `json:"scheme"`
-		Bench              string  `json:"bench"`
-		SimInstsPerSec     float64 `json:"simInstsPerSec"`
-		SimInstsPerSecNoFF float64 `json:"simInstsPerSecNoFF"`
+		Scheme         string  `json:"scheme"`
+		Bench          string  `json:"bench"`
+		SimInstsPerSec float64 `json:"simInstsPerSec"`
 	} `json:"cells"`
 	Matrix struct {
 		CellsPerSec float64 `json:"cellsPerSec"`

@@ -36,7 +36,6 @@ func main() {
 		par      = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir = flag.String("cache", "", "directory to persist simulated cells into (e.g. results/cache); re-runs warm-start from it")
 		progress = flag.Bool("progress", false, "print per-cell progress to stderr")
-		noFF     = flag.Bool("no-ff", false, "disable the stall fast-forward (cycle-by-cycle simulation; identical results, slower)")
 	)
 	flag.Parse()
 
@@ -69,7 +68,7 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		Opt:    sim.Options{Instructions: *n, Warmup: *warmup, Seed: *seed, Parallelism: *par, NoFastForward: *noFF},
+		Opt:    sim.Options{Instructions: *n, Warmup: *warmup, Seed: *seed, Parallelism: *par},
 		Out:    os.Stdout,
 		CSVDir: *csv,
 		Engine: eng,

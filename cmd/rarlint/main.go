@@ -2,20 +2,17 @@
 // contracts: determinism of everything feeding the memoized simulation
 // cache, hygiene of the statistics that become report columns, coverage
 // of every config knob the sweeps claim to vary, error-return
-// discipline, purity of the stall fast-forward's event computation
-// (//rarlint:pure), completeness of the runahead exit/flush restore set
-// (//rarlint:survives), dimensional consistency of the metrics
-// (//rarlint:unit), guarded-by lock discipline (//rarlint:guardedby),
-// allocation-freedom of the hot loop (//rarlint:hot), next-event
-// coverage of every stage-written field (//rarlint:quiescent), and
-// exact agreement between the bulk-advance write set and the declared
-// n-scalable fields (//rarlint:nscaled). Pure standard library —
-// go/parser, go/ast, go/types — with no external dependencies.
+// discipline, purity of the pipeline's query helpers and the report read
+// paths (//rarlint:pure), completeness of the runahead exit/flush restore
+// set (//rarlint:survives), dimensional consistency of the metrics
+// (//rarlint:unit), guarded-by lock discipline (//rarlint:guardedby), and
+// allocation-freedom of the hot loop (//rarlint:hot). Pure standard
+// library — go/parser, go/ast, go/types — with no external dependencies.
 //
 // Usage:
 //
 //	rarlint ./...                 # whole module, all checks (CI mode)
-//	rarlint -check ffsound        # one check (-checks is an alias)
+//	rarlint -check hotalloc       # one check (-checks is an alias)
 //	rarlint -json ./...           # schema-stable JSON findings for CI
 //	rarlint -tests ./...          # load and analyze _test.go files too
 //	rarlint path/to/module        # another module root (e.g. a corpus)

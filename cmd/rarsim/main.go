@@ -32,7 +32,6 @@ func main() {
 		timeline  = flag.Uint64("timeline", 0, "print an AVF-over-time series with this window size in cycles")
 		jsonOut   = flag.Bool("json", false, "emit one JSON object per run instead of the table")
 		cacheDir  = flag.String("cache", "", "directory to persist simulated cells into; repeated runs of the same cell warm-start from it")
-		noFF      = flag.Bool("no-ff", false, "disable the stall fast-forward (cycle-by-cycle simulation; identical results, slower)")
 	)
 	flag.Parse()
 
@@ -84,7 +83,7 @@ func main() {
 	if *warmup == 0 {
 		*warmup = *n / 5
 	}
-	opt := rarsim.Options{Instructions: *n, Warmup: *warmup, Seed: *seed, NoFastForward: *noFF}
+	opt := rarsim.Options{Instructions: *n, Warmup: *warmup, Seed: *seed}
 	if *timeline > 0 {
 		runTimeline(cfg, schemeList, benches, opt, *timeline)
 		return

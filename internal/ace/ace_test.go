@@ -72,30 +72,6 @@ func TestLedgerTickAndCum(t *testing.T) {
 	}
 }
 
-// TestLedgerAdvanceEquivalence pins the bulk-residency contract the stall
-// fast-forward depends on: Advance(hb, fs, n) must leave Cum() exactly
-// where n individual TickBlocked(hb, fs) calls would.
-func TestLedgerAdvanceEquivalence(t *testing.T) {
-	cases := []struct {
-		hb, fs bool
-		n      uint64
-	}{
-		{false, false, 1000}, {true, false, 7}, {true, true, 123}, {true, false, 0},
-	}
-	bulk, tick := NewLedger(), NewLedger()
-	for _, c := range cases {
-		bulk.Advance(c.hb, c.fs, c.n)
-		for i := uint64(0); i < c.n; i++ {
-			tick.TickBlocked(c.hb, c.fs)
-		}
-		bhb, bfs := bulk.Cum()
-		thb, tfs := tick.Cum()
-		if bhb != thb || bfs != tfs {
-			t.Fatalf("after %+v: bulk cum = %d,%d ticked cum = %d,%d", c, bhb, bfs, thb, tfs)
-		}
-	}
-}
-
 func TestAVF(t *testing.T) {
 	if got := AVF(1000, 100, 10); got != 1.0 {
 		t.Errorf("fully-vulnerable AVF = %v", got)

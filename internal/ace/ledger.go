@@ -13,14 +13,12 @@ type Ledger struct {
 	headBlocked [NumStructures]uint64 //rarlint:unit bitcycles
 	fullStall   [NumStructures]uint64 //rarlint:unit bitcycles
 
-	//rarlint:nscaled blocked-cycle accumulator: Advance adds n where TickBlocked adds 1
 	cumHeadBlocked uint64 //rarlint:unit cycles
-	//rarlint:nscaled blocked-cycle accumulator: Advance adds n where TickBlocked adds 1
-	cumFullStall uint64 //rarlint:unit cycles
+	cumFullStall   uint64 //rarlint:unit cycles
 
 	// Optional timeline bucketing (timeline.go).
 	windowCycles uint64
-	nowCycle     uint64 //rarlint:nscaled SetCycle lands the ledger on the post-skip cycle; intermediate values are never observed
+	nowCycle     uint64
 	windows      []uint64
 }
 
@@ -32,21 +30,11 @@ func NewLedger() *Ledger { return &Ledger{} }
 // head; fullStall additionally requires the ROB to be full. fullStall
 // implies headBlocked.
 func (l *Ledger) TickBlocked(headBlocked, fullStall bool) {
-	l.Advance(headBlocked, fullStall, 1)
-}
-
-// Advance bulk-applies n cycles of TickBlocked with a constant blocking
-// state. The core's stall fast-forward uses it to integrate ledger
-// residency over a skipped quiescent window: because the blocking state
-// cannot change while no pipeline event fires, n identical ticks collapse
-// into one addition, and Cum() afterwards is exactly what n TickBlocked
-// calls would have produced.
-func (l *Ledger) Advance(headBlocked, fullStall bool, n uint64) {
 	if headBlocked {
-		l.cumHeadBlocked += n
+		l.cumHeadBlocked++
 	}
 	if fullStall {
-		l.cumFullStall += n
+		l.cumFullStall++
 	}
 }
 

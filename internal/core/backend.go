@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"rarsim/internal/ace"
 	"rarsim/internal/isa"
@@ -27,15 +28,11 @@ func (c *Core) dispatchStage() {
 			break // structural stall: retry next cycle, in order
 		}
 		c.frontQ.popFront()
-		c.progress++
 	}
 }
 
 // dispatchStalled reports whether u cannot dispatch in normal mode for a
-// structural reason (ROB/IQ/LQ/SQ/registers full). Every resource it
-// consults is freed only by a pipeline event (commit, completion, squash),
-// which is what lets the stall fast-forward (ff.go) treat a stalled
-// dispatch head as quiescent until the next event.
+// structural reason (ROB/IQ/LQ/SQ/registers full).
 //
 //rarlint:pure
 func (c *Core) dispatchStalled(u *uop) bool {
@@ -283,9 +280,6 @@ func (c *Core) issueStage() {
 		c.iqLive--
 	}
 	c.readyList = kept
-	if issued > 0 {
-		c.progress++
-	}
 	if c.iqTomb >= iqCompactThreshold {
 		c.compactIQ()
 	}
@@ -439,7 +433,7 @@ func (c *Core) scheduleCompletion(u *uop) {
 // — identical timing to the scan-based predecessor.
 func (c *Core) migrateOverflow() {
 	kept := c.cwOverflow[:0]
-	min := NoEventCycle
+	min := uint64(math.MaxUint64)
 	for _, e := range c.cwOverflow {
 		if e.doneAt >= c.cycle+cwSize {
 			kept = append(kept, e)
@@ -491,7 +485,6 @@ func (c *Core) completeStage() {
 	if len(done) == 0 {
 		return
 	}
-	c.progress++
 	// Resolve oldest-first: an older mispredicted branch squashes younger
 	// completions in the same cycle. The batch is small (bounded by uops
 	// finishing on one cycle), so an insertion sort beats sort.Slice.
@@ -622,7 +615,6 @@ func (c *Core) commitStage() {
 		}
 		c.robCount--
 		c.release(u)
-		c.progress++
 	}
 }
 
@@ -734,7 +726,6 @@ func (c *Core) drainStores() {
 	if res.MSHRStall {
 		return
 	}
-	c.progress++
 	// Compact instead of re-slicing so the buffer's capacity is reused
 	// forever (see dispatchStage); the buffer is bounded by
 	// PostCommitStoreBuffer entries, so the copy is cheap.

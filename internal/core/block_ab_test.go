@@ -15,8 +15,7 @@ import (
 // stream buffer refills in blocks, wrong-path groups synthesise through
 // WrongPathBlock) and once through trace.ScalarOnly, which hides it and
 // forces the seed's one-instruction-at-a-time path — and requires the
-// resulting Stats to be byte-identical. Together with TestFFEquivalence
-// this pins the full equivalence square: batched==scalar and FF on==off.
+// resulting Stats to be byte-identical.
 
 // runBlockAB runs (scheme, bench) batched and scalar and returns both
 // measured Stats.
@@ -169,10 +168,9 @@ func TestBatchedSynthesisHostileRefillSizes(t *testing.T) {
 	}
 }
 
-// TestRandomProgramsBatchedEquivalence fuzzes the square's batched edge:
-// arbitrary valid benchmarks under the runahead schemes must produce
-// byte-identical Stats batched and scalar. Mirrors
-// TestRandomProgramsFFEquivalence.
+// TestRandomProgramsBatchedEquivalence fuzzes the batched-synthesis
+// contract: arbitrary valid benchmarks under the runahead schemes must
+// produce byte-identical Stats batched and scalar.
 func TestRandomProgramsBatchedEquivalence(t *testing.T) {
 	schemes := append(config.Schemes(), config.RunaheadVariants()...)
 	f := func(raw []byte, pick uint8) bool {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"rarsim/internal/ace"
 	"rarsim/internal/branch"
@@ -50,22 +51,21 @@ type Core struct {
 	regs   *regFile
 	pool   uopPool
 
-	//rarlint:nscaled the skip target itself: bulkAdvance jumps it to the bounded next-event cycle
 	cycle uint64 //rarlint:unit cycles
-	seq   uint64 //rarlint:quiescent uop numbering source: advances only when stage-driven fetch creates uops
+	seq   uint64
 
 	// Front-end.
 	frontQ          frontRing
 	fetchStallUntil uint64 //rarlint:unit cycles
-	wrongPath       bool   //rarlint:quiescent wrong-path fetch latch: only stage-driven fetch consults it
-	wpPC            uint64 //rarlint:quiescent wrong-path fetch cursor: only stage-driven fetch consults it
+	wrongPath       bool
+	wpPC            uint64
 	// wpScratch receives one fetch group's batch of synthesised
 	// wrong-path instructions (fetchWrongPathGroup); sized Width.
 	wpScratch []isa.Inst
 	// wpSynthetic counts synthesised wrong-path instructions still to
 	// fetch: >0 for a bounded hammock body, -1 for a non-reconvergent
 	// path, 0 while off-path means fetch reconverged onto the stream.
-	wpSynthetic int //rarlint:quiescent wrong-path fetch cursor: only stage-driven fetch consults it
+	wpSynthetic int
 
 	// Back-end.
 	rob      []*uop
@@ -81,9 +81,9 @@ type Core struct {
 	// compactIQ restores the fully compacted layout — exactly the slice a
 	// per-cycle-compacting implementation maintains — before any observer
 	// (audit, fault injection) looks at slot positions.
-	iq     []waiter //rarlint:quiescent queue membership only: issueability is covered via readyList, fill and FU events
+	iq     []waiter
 	iqLive int
-	iqTomb int //rarlint:quiescent issue-queue compaction bookkeeping: consumed by the next stage-driven sweep
+	iqTomb int
 	// readyList holds the issue candidates in seq order: every live
 	// dispatched uop whose notReady filter has hit zero. Entries are
 	// seq-guarded like waiter registrations — issued, squashed or recycled
@@ -105,8 +105,8 @@ type Core struct {
 	// and are dropped when their bucket drains, which is why none of this
 	// needs rewinding at a flush or runahead exit.
 	cwBuckets  [cwSize][]waiter
-	cwOverflow []cwEntry //rarlint:quiescent completion-wheel spill: its earliest deadline is covered separately via cwOvMin
-	// cwOvMin is the earliest doneAt in cwOverflow (NoEventCycle when
+	cwOverflow []cwEntry
+	// cwOvMin is the earliest doneAt in cwOverflow (math.MaxUint64 when
 	// empty); it may go stale-low via squashed entries, which costs a
 	// redundant migration scan, never a missed completion.
 	cwOvMin uint64 //rarlint:unit cycles
@@ -119,7 +119,7 @@ type Core struct {
 	// entry is seq-guarded: uop records are pooled, so an entry only acts
 	// on the incarnation that registered it.
 	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
-	waiters [][]waiter //rarlint:quiescent wakeup lists: drained by stage-driven completion, whose timing fill and FU events cover
+	waiters [][]waiter
 
 	// bpSnapArena backs the history snapshots of in-flight mispredicted
 	// branches, indexed by uop.bpSnap. Only mispredicts allocate a slot
@@ -127,25 +127,23 @@ type Core struct {
 	// the uop record. Slots recycle through bpSnapFree when the owning
 	// uop is released; a freed slot's content is dead, so neither list
 	// needs restoring at runahead exit.
-	bpSnapArena []branch.Snapshot //rarlint:quiescent snapshot allocator arena: allocation scratch with no timing content
-	bpSnapFree  []int32           //rarlint:quiescent snapshot allocator free list: allocation scratch with no timing content
+	bpSnapArena []branch.Snapshot
+	bpSnapFree  []int32
 
 	// doneScratch is completeStage's reusable completion buffer.
-	doneScratch []*uop //rarlint:quiescent per-cycle scratch buffer: dead between cycles
+	doneScratch []*uop
 	// squashScratch is the squash paths' reusable victim buffer: squashes
 	// happen on every mispredict, far too often to allocate a fresh slice.
-	squashScratch []*uop //rarlint:quiescent per-cycle scratch buffer: dead between cycles
+	squashScratch []*uop
 
-	fuPools [numFuPools]config.FUPool
-	//rarlint:quiescent per-cycle FU issue tally: recomputed from zero each busy cycle
+	fuPools    [numFuPools]config.FUPool
 	fuIssued   [numFuPools]int    // pipelined pools: ops issued this cycle
 	fuBusyTill [numFuPools]uint64 //rarlint:unit cycles -- unpipelined pools: next free cycle
 
 	storeBuf []uint64 // post-commit store addresses awaiting L1D write
 
 	// ROB-head blocking tracking.
-	headSeq uint64 //rarlint:nscaled watchdog bookkeeping: refreshed to the value n blocked ticks would leave
-	//rarlint:nscaled watchdog bookkeeping: refreshed to the value n blocked ticks would leave
+	headSeq   uint64
 	headSince uint64 //rarlint:unit cycles
 
 	// Runahead machinery.
@@ -154,12 +152,12 @@ type Core struct {
 	prdq       []*uop
 	sstT       *sst
 	prod       *producers
-	lastWriter [isa.NumRegs]uint64 //rarlint:quiescent store-set training bookkeeping: consulted only during stage-driven dispatch
-	raDiverged bool                //rarlint:quiescent divergence latch: read only on stage-driven runahead paths
+	lastWriter [isa.NumRegs]uint64
+	raDiverged bool
 	chk        checkpoint
 
 	// SST training dedup: last PC trained, to avoid rewalking hot loads.
-	lastTrainedPC uint64 //rarlint:quiescent trainer dedup latch: no timing content
+	lastTrainedPC uint64
 
 	// lastFlushSeq prevents the FLUSH scheme from re-flushing for the
 	// same blocking load every cycle.
@@ -184,22 +182,8 @@ type Core struct {
 	// ffInstructions counts instructions skipped functionally.
 	ffInstructions uint64
 
-	// progress increments whenever a stage moves machine state forward
-	// (fetch, dispatch, issue, complete, commit, store drain, mode
-	// transitions). RunWarm consults it to skip the next-event probe on
-	// busy cycles: a cycle that made progress is near-certainly followed
-	// by a busy cycle, so probing it is pure overhead. The guard is a
-	// heuristic with a one-sided failure mode — a missed bump just runs
-	// the probe (status quo), an over-bump costs at most one extra ticked
-	// cycle per stall window — so it can never change results.
-	progress uint64 //rarlint:quiescent watchdog progress latch: consulted by the run loop, never by skip bounds
-
-	// Stall fast-forward (ff.go): noFF disables the quiescent-cycle skip
-	// (its zero value keeps the skip on); ffSkipped counts cycles advanced
-	// in bulk. Both are diagnostics outside Stats — results are identical
-	// either way, by the equivalence contract.
-	noFF      bool
-	ffSkipped uint64 //rarlint:nscaled fast-forward telemetry: counts exactly the cycles the skip replaced
+	// watchdog is the no-commit deadline in cycles (see watchdogWindow).
+	watchdog uint64 //rarlint:unit cycles
 
 	s Stats
 }
@@ -209,19 +193,13 @@ type Core struct {
 // from it) rather than clearing it; the stale copy left behind is
 // architecturally dead until the next enterRunahead overwrites it.
 type checkpoint struct {
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
-	rat [isa.NumRegs]int16 //rarlint:survives consumed at exit, overwritten by the next entry
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
-	bpSnap branch.Snapshot //rarlint:survives consumed at exit, overwritten by the next entry
+	rat    [isa.NumRegs]int16 //rarlint:survives consumed at exit, overwritten by the next entry
+	bpSnap branch.Snapshot    //rarlint:survives consumed at exit, overwritten by the next entry
 	//rarlint:survives consumed at exit, overwritten by the next entry
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
 	resumeCursor uint64 // fetch cursor to restore on a PRE-style exit
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
-	wrongPath bool //rarlint:survives consumed at exit, overwritten by the next entry
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
-	wpPC uint64 //rarlint:survives consumed at exit, overwritten by the next entry
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
-	wpSynthetic int //rarlint:survives consumed at exit, overwritten by the next entry
+	wrongPath    bool   //rarlint:survives consumed at exit, overwritten by the next entry
+	wpPC         uint64 //rarlint:survives consumed at exit, overwritten by the next entry
+	wpSynthetic  int    //rarlint:survives consumed at exit, overwritten by the next entry
 }
 
 // Stats is the result of one simulation run.
@@ -230,47 +208,32 @@ type Stats struct {
 	Scheme    string
 	CoreName  string
 
-	Cycles uint64 //rarlint:unit cycles
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	Cycles    uint64 //rarlint:unit cycles
 	Committed uint64 //rarlint:unit insts
 
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	CommittedLoads uint64 //rarlint:unit insts
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	CommittedStores uint64 //rarlint:unit insts
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	CommittedLoads    uint64 //rarlint:unit insts
+	CommittedStores   uint64 //rarlint:unit insts
 	CommittedBranches uint64 //rarlint:unit insts
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	Mispredicts      uint64 //rarlint:unit insts
-	WrongPathFetched uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	Mispredicts       uint64 //rarlint:unit insts
+	WrongPathFetched  uint64
 
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	RunaheadEntries uint64 //rarlint:survives statistics counter: runahead activity is metered, not squashed
-	//rarlint:nscaled mode-cycle counter: scales linearly with the skipped span
-	RunaheadCycles uint64 //rarlint:unit cycles
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	RunaheadEntries  uint64 //rarlint:survives statistics counter: runahead activity is metered, not squashed
+	RunaheadCycles   uint64 //rarlint:unit cycles
 	RunaheadExecuted uint64 //rarlint:unit uops -- executed in runahead mode
 	//rarlint:survives statistics counter: runahead activity is metered, not squashed
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
 	RunaheadDropped uint64 //rarlint:unit uops -- filtered or INV-dropped in runahead
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	Flushes uint64 // FLUSH-scheme pipeline flushes
+	Flushes         uint64 // FLUSH-scheme pipeline flushes
 
 	// Activity counters for energy accounting: everything that consumed
 	// pipeline bandwidth, including wrong-path, runahead and re-fetched
 	// work that never (or repeatedly) committed.
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
 	TotalFetched uint64 //rarlint:unit uops
 	//rarlint:survives statistics counter: energy accounting meters runahead dispatches by design
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
 	TotalDispatched uint64 //rarlint:unit uops
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	TotalIssued uint64 //rarlint:unit uops
+	TotalIssued     uint64 //rarlint:unit uops
 
-	//rarlint:nscaled blocked-cycle counter: advances by n, matching n per-cycle ticks
 	HeadBlockedCycles uint64 //rarlint:unit cycles
-	//rarlint:nscaled blocked-cycle counter: advances by n, matching n per-cycle ticks
-	FullStallCycles uint64 //rarlint:unit cycles
+	FullStallCycles   uint64 //rarlint:unit cycles
 
 	// CommitHash is an FNV-1a hash over the committed instruction
 	// sequence (PC and class, in commit order) for the whole run,
@@ -278,7 +241,7 @@ type Stats struct {
 	// stream — speculation of any kind never changes architectural
 	// execution — so the hash must agree across schemes for the same
 	// (benchmark, seed, instruction count).
-	CommitHash uint64 //rarlint:quiescent commit-order digest: accumulated at commit, consulted only by the A/B equivalence check
+	CommitHash uint64
 
 	ABC            [ace.NumStructures]uint64 //rarlint:unit bitcycles
 	TotalABC       uint64                    //rarlint:unit bitcycles
@@ -365,7 +328,8 @@ func NewWithHierarchy(cfg config.Core, scheme config.Scheme, name string, gen tr
 	if b, ok := gen.(trace.BlockSource); ok {
 		c.genBlk = b
 	}
-	c.cwOvMin = NoEventCycle
+	c.cwOvMin = math.MaxUint64
+	c.watchdog = watchdogWindow + DRAMStallAllowance(cfg)
 	// Pre-size the completion-wheel buckets out of one contiguous backing
 	// array. Unlike a single flat list, 256 independent slices each chase
 	// their own high-water mark — without preallocation, rare
@@ -411,15 +375,24 @@ func NewWithHierarchy(cfg config.Core, scheme config.Scheme, name string, gen tr
 	return c
 }
 
-// watchdogWindow is the commit-progress deadline: if no instruction commits
-// for this many *ticked* cycles — loop iterations actually simulated, not
-// cycles skipped in bulk by the stall fast-forward — the simulation reports
-// a deadlock. Counting ticks rather than wall cycles keeps the two watchdog
-// properties independent of fast-forward: a legitimate stall longer than
-// the window (e.g. a pathologically slow DRAM) collapses into a handful of
-// ticks and survives, while a genuine deadlock generates no events, is
-// never skipped, and accumulates ticks until the watchdog fires.
+// watchdogWindow is the commit-progress slack: a run that commits nothing
+// for watchdogWindow cycles beyond the longest stall its DRAM timing can
+// legitimately cause (DRAMStallAllowance) reports a deadlock. The core
+// computes that deadline once, in New.
 const watchdogWindow = 500_000
+
+// DRAMStallAllowance returns the commit-free stall the DRAM timing of cfg
+// can legitimately cause: four back-to-back slowest reads (controller
+// overhead, row conflict, burst). The longest gap between two commits
+// seen in practice is two such reads — an instruction-fetch miss, then
+// the head load's own miss — so four leave a 2x margin. Under the default
+// DDR3 timing the allowance is a few hundred cycles; a pathologically slow
+// DRAM stretches the watchdog deadlines of Core and multicore.System
+// instead of tripping them, while a genuine deadlock still trips them.
+func DRAMStallAllowance(cfg config.Core) uint64 {
+	d := cfg.Mem.DRAM
+	return 4 * (d.Ctrl + d.TRP + d.TRCD + d.TCL + d.Burst)
+}
 
 // Run simulates until instructions have committed and returns the run's
 // statistics. It returns an error if the pipeline deadlocks (a model bug,
@@ -454,15 +427,7 @@ func (c *Core) RunWarm(warmup, measured uint64) (Stats, error) {
 		warmTaken = true
 	}
 	lastCommit := base
-	var ticked, lastCommitTick uint64
-	// progMark trails c.progress by one cycle: when a cycle moved machine
-	// state, the next cycle is near-certainly busy and the next-event probe
-	// is skipped outright. Compute-bound runs make progress almost every
-	// cycle, so they stop paying for the fast-forward they never use; the
-	// first quiescent cycle re-arms the probe. Starting unequal to
-	// c.progress makes the first iteration skip the probe (it cannot know
-	// quiescence yet anyway).
-	progMark := c.progress - 1
+	lastCommitCycle := c.cycle
 	for c.s.Committed < total {
 		c.cycle++
 		c.ledger.SetCycle(c.cycle)
@@ -487,23 +452,15 @@ func (c *Core) RunWarm(warmup, measured uint64) (Stats, error) {
 			warmTaken = true
 			c.commitBarrier = total
 		}
-		ticked++
 		if c.s.Committed != lastCommit {
 			lastCommit = c.s.Committed
-			lastCommitTick = ticked
-		} else if ticked-lastCommitTick > watchdogWindow {
+			lastCommitCycle = c.cycle
+		} else if c.cycle-lastCommitCycle > c.watchdog {
 			//rarlint:allow hotalloc fatal deadlock exit, never taken on a healthy run
 			return c.s, fmt.Errorf(
-				"core: deadlock: no commit for %d ticked cycles at cycle %d (core=%s bench=%s scheme=%s rob=%d iq=%d frontQ=%d mode=%d ffSkipped=%d)",
-				watchdogWindow, c.cycle, c.s.CoreName, c.s.Benchmark, c.s.Scheme,
-				c.robCount, c.iqLive, c.frontQ.len(), c.mode, c.ffSkipped)
-		}
-		if !c.noFF && c.s.Committed < total {
-			if c.progress == progMark {
-				c.skipStall()
-			} else {
-				progMark = c.progress
-			}
+				"core: deadlock: no commit for %d cycles at cycle %d (core=%s bench=%s scheme=%s rob=%d iq=%d frontQ=%d mode=%d)",
+				c.watchdog, c.cycle, c.s.CoreName, c.s.Benchmark, c.s.Scheme,
+				c.robCount, c.iqLive, c.frontQ.len(), c.mode)
 		}
 	}
 	c.finalizeStats()
@@ -534,14 +491,13 @@ func (c *Core) Step() {
 	c.drainStores()
 }
 
+// FFSkippedCycles returns 0: the simulator ticks every cycle. It remains
+// only because the repository benchmark harness (_rarbench) still reports
+// it as a metric.
+func (c *Core) FFSkippedCycles() uint64 { return 0 }
+
 // Committed returns the number of instructions committed so far.
 func (c *Core) Committed() uint64 { return c.s.Committed }
-
-// Progress returns a counter that advances whenever any pipeline stage
-// moves machine state forward. A chip-level driver can compare successive
-// values to tell a busy core (progress moved — certainly steppable next
-// cycle) from a quiescent one worth probing with NextEventCycle.
-func (c *Core) Progress() uint64 { return c.progress }
 
 // Snapshot finalises and returns the current statistics without ending
 // the simulation.

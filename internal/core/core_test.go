@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"rarsim/internal/config"
@@ -309,5 +310,58 @@ func TestArchitecturalEquivalence(t *testing.T) {
 		if other.CommitHash == ref.CommitHash {
 			t.Errorf("%s: different seeds produced identical streams", bn)
 		}
+	}
+}
+
+// slowDRAMCore returns the baseline core with a DRAM whose fixed controller
+// overhead alone exceeds the watchdog window: every LLC miss stalls the
+// pipeline for longer than a fixed 500k-cycle watchdog would tolerate.
+func slowDRAMCore() config.Core {
+	cfg := config.Baseline()
+	cfg.Mem.DRAM.Ctrl = watchdogWindow + 100_000
+	return cfg
+}
+
+// TestWatchdogSurvivesLongStall: a legitimate stall longer than the
+// watchdog window — here a pathologically slow DRAM — must not be reported
+// as a deadlock: the deadline stretches with the configured DRAM timing
+// (DRAMStallAllowance), so the run is simulated cycle by cycle to
+// completion.
+func TestWatchdogSurvivesLongStall(t *testing.T) {
+	b, err := trace.ByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(slowDRAMCore(), config.OoO, b, 42)
+	st, err := c.Run(2_000)
+	if err != nil {
+		t.Fatalf("slow-DRAM run must survive the watchdog: %v", err)
+	}
+	if st.Committed != 2_000 {
+		t.Fatalf("committed %d, want 2000", st.Committed)
+	}
+	if st.Cycles <= watchdogWindow {
+		t.Fatalf("run finished in %d cycles — DRAM not actually slow, test is vacuous", st.Cycles)
+	}
+}
+
+// TestWatchdogCatchesDeadlock: a genuine deadlock — here a core whose load
+// queue has zero entries, so the first load can never dispatch — must still
+// trip the watchdog, whose deadline under the default DRAM timing is
+// barely above watchdogWindow.
+func TestWatchdogCatchesDeadlock(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.LQ = 0
+	b, err := trace.ByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(cfg, config.OoO, b, 42)
+	_, err = c.Run(2_000)
+	if err == nil {
+		t.Fatal("LQ=0 deadlock must trip the watchdog")
+	}
+	if !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("want a deadlock report, got: %v", err)
 	}
 }

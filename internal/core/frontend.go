@@ -96,7 +96,6 @@ func (c *Core) fetchStage() {
 		return
 	}
 
-	c.progress++ // past the early-outs, the group always fetches
 	for n := 0; n < c.cfg.Width; n++ {
 		in, idx := c.stream.next()
 		u := c.newUop()
@@ -140,9 +139,7 @@ func (c *Core) fetchStage() {
 	}
 }
 
-// frontQCap is the front-end pipe capacity at which fetch backs up. The
-// stall fast-forward relies on the same bound to decide that fetch cannot
-// act until dispatch drains the pipe.
+// frontQCap is the front-end pipe capacity at which fetch backs up.
 //
 //rarlint:pure
 func (c *Core) frontQCap() int {
@@ -223,7 +220,6 @@ func (c *Core) startWrongPath(in *isa.Inst, predTaken bool) {
 //
 //rarlint:hot
 func (c *Core) fetchWrongPathGroup() {
-	c.progress++
 	w := c.cfg.Width
 	for n := 0; n < w; {
 		if c.wpSynthetic == 0 {

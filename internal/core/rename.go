@@ -11,11 +11,11 @@ import "rarsim/internal/isa"
 type regFile struct {
 	nInt, nFp int
 
-	rat [isa.NumRegs]int16 //rarlint:quiescent rename state: read only by stage-driven rename and the checkpointed restore
+	rat [isa.NumRegs]int16
 	//rarlint:survives per-register bit is dead once the register is freed; alloc clears it on reallocation
 	ready []bool
 	//rarlint:survives poison bit is dead once the register is freed; alloc clears it on reallocation
-	inv []bool //rarlint:quiescent poison bits: read only by stage-driven rename and cleared on reallocation
+	inv []bool
 
 	freeInt []int16
 	freeFp  []int16

@@ -32,7 +32,6 @@ func (c *Core) modeStage() {
 		c.drainPRDQ()
 		if c.blocking.doneAt <= c.cycle {
 			c.exitRunahead()
-			c.progress++
 		}
 		return
 	}
@@ -82,69 +81,10 @@ func (c *Core) modeStage() {
 	}
 }
 
-// modeNextEvent returns the earliest future cycle at which modeStage can
-// change anything, given the pipeline state frozen as it is now, or
-// noEvent when no mode transition is pending. It is the runahead/flush
-// half of the stall fast-forward's nextEventCycle (ff.go) and mirrors
-// modeStage's trigger conditions exactly:
-//
-//   - In runahead mode, drainPRDQ makes progress the next cycle whenever
-//     the PRDQ head has already pseudo-retired, and the mode exits when
-//     the blocking load's data returns.
-//   - In normal mode, the countdown-timer triggers (RAR/PRE early start,
-//     FLUSH's long-latency detection) expire RunaheadTimer cycles after the
-//     countdown base: headSince, or the next cycle when the head changed
-//     during this cycle and tickBlocked has not yet restarted the timer.
-//   - The late (full-ROB) trigger reads only current state. Its inputs can
-//     have become true after this cycle's modeStage ran (issue and dispatch
-//     execute later in the cycle), so when they hold now the trigger fires
-//     next cycle; when they don't, they only change at other pipeline
-//     events.
-//
-//rarlint:pure
-func (c *Core) modeNextEvent(head *uop) uint64 {
-	if c.mode == modeRunahead {
-		if len(c.prdq) > 0 {
-			if st := c.prdq[0].state; st == uopCompleted || st == uopDead {
-				return c.cycle + 1
-			}
-		}
-		return c.blocking.doneAt
-	}
-	if head == nil || !head.isLoad() || head.state != uopIssued || !head.memIssued {
-		return noEvent
-	}
-	base := c.headSince
-	if head.seq != c.headSeq {
-		base = c.cycle + 1 // countdown restarts at the next tickBlocked
-	}
-	timerAt := base + c.cfg.RunaheadTimer
-	if c.scheme.FlushAtEntry {
-		if head.llcMiss && head.seq != c.lastFlushSeq {
-			return timerAt
-		}
-		return noEvent
-	}
-	if !c.scheme.Runahead {
-		return noEvent
-	}
-	if c.scheme.Early {
-		return timerAt
-	}
-	if c.robCount == c.cfg.ROB && head.longLat {
-		if c.scheme.IssueWindow && head.doneAt <= c.cycle+minTRInterval {
-			return noEvent // short-interval filter: stays filtered as cycle grows
-		}
-		return c.cycle + 1
-	}
-	return noEvent
-}
-
 // enterRunahead checkpoints the machine and switches to runahead mode.
 // The ROB is frozen: nothing commits and nothing new is allocated in it.
 func (c *Core) enterRunahead(blocking *uop) {
 	c.s.RunaheadEntries++
-	c.progress++
 	c.mode = modeRunahead
 	c.blocking = blocking
 
@@ -302,7 +242,6 @@ func (c *Core) drainPRDQ() {
 		c.release(u)
 	}
 	if n > 0 {
-		c.progress++
 		// Compact instead of re-slicing so the queue's capacity is
 		// reused forever (see dispatchStage); the PRDQ is bounded by
 		// cfg.PRDQ entries.
@@ -432,7 +371,6 @@ func (c *Core) exitRunahead() {
 // MLP: instructions past the load never get to issue their own misses.
 func (c *Core) doFlush(load *uop) {
 	c.s.Flushes++
-	c.progress++
 	c.lastFlushSeq = load.seq
 	c.squashYounger(load.seq)
 	c.stream.rewind(load.streamIdx + 1)

@@ -76,7 +76,7 @@ func (c *Core) drain() error {
 	// In-flight instructions past the measured window commit freely; the
 	// next window's warmup snapshot excludes them from measurement.
 	c.commitBarrier = 0
-	deadline := c.cycle + watchdogWindow
+	deadline := c.cycle + c.watchdog
 	for c.robCount != 0 || c.frontQ.len() != 0 || c.mode == modeRunahead || len(c.storeBuf) != 0 {
 		if c.cycle > deadline {
 			return fmt.Errorf("core: drain did not converge (rob=%d frontQ=%d mode=%d)",

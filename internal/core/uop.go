@@ -34,42 +34,33 @@ type uop struct {
 	inst isa.Inst
 	seq  uint64 // global age
 
-	state uopState
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	state    uopState
 	runahead bool // dispatched during runahead mode
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	inv bool // poisoned: depends on the blocking load's unavailable value
+	inv      bool // poisoned: depends on the blocking load's unavailable value
 
 	// Register renaming.
-	src [2]int16 // physical sources (-1 = none/ready immediate)
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	dest int16 // physical destination (-1 = none)
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	prevDest int16 // previous mapping of the architectural dest, for rollback
+	src      [2]int16 // physical sources (-1 = none/ready immediate)
+	dest     int16    // physical destination (-1 = none)
+	prevDest int16    // previous mapping of the architectural dest, for rollback
 	// notReady counts source registers still awaiting their producer.
 	// Maintained event-driven (Core.markReady decrements it when a producer
 	// publishes) so the issue stage tests one field instead of re-polling
 	// the register file for every queued uop every cycle.
-	notReady int8 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	notReady int8
 
 	// Position bookkeeping.
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	streamIdx uint64 // index into the correct-path stream (for rewind)
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	robIdx int  // slot in the ROB ring; -1 for runahead uops
-	inLQ   bool //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	inSQ   bool //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	robIdx    int    // slot in the ROB ring; -1 for runahead uops
+	inLQ      bool
+	inSQ      bool
 
 	// Timing.
 	frontReadyAt uint64 //rarlint:unit cycles -- the cycle the uop clears the front-end pipe
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	dispatchedAt uint64 //rarlint:unit cycles
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	issuedAt uint64 //rarlint:unit cycles
-	doneAt   uint64 //rarlint:unit cycles
-	retryAt  uint64 //rarlint:unit cycles -- earliest re-issue attempt after an MSHR stall
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	fuLatency uint64 //rarlint:unit cycles
+	issuedAt     uint64 //rarlint:unit cycles
+	doneAt       uint64 //rarlint:unit cycles
+	retryAt      uint64 //rarlint:unit cycles -- earliest re-issue attempt after an MSHR stall
+	fuLatency    uint64 //rarlint:unit cycles
 
 	// Memory.
 	llcMiss   bool // the access missed the LLC
@@ -81,25 +72,25 @@ type uop struct {
 	// and keeping the ~200-byte Snapshot out of line shrinks every uop by
 	// ~40% — the pool, the ROB ring and every stage walk touch that much
 	// less cache.
-	predTaken bool  //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	bpSnap    int32 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	predTaken bool
+	bpSnap    int32
 
 	// ACE attribution snapshots (cumulative blocked-cycle counters at
 	// window-start events; see ace.Ledger).
-	hbAtDispatch, fsAtDispatch uint64 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	hbAtIssue, fsAtIssue       uint64 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	hbAtDone, fsAtDone         uint64 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	issueValid                 bool   //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	hbAtDispatch, fsAtDispatch uint64
+	hbAtIssue, fsAtIssue       uint64
+	hbAtDone, fsAtDone         uint64
+	issueValid                 bool
 
 	// inj holds indices of fault-injection samples tagged onto this uop
 	// (see inject.go); resolved at commit or squash.
-	inj []int32 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	inj []int32
 
 	// bpInfo sits last deliberately: at ~90 bytes it is the fattest field,
 	// and only branch uops (a minority) ever touch it — every field the
 	// non-branch stage walks read now fits in the first four cache lines
 	// instead of straddling the Info blob.
-	bpInfo branch.Info //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	bpInfo branch.Info
 }
 
 func (u *uop) isLoad() bool   { return u.inst.IsLoad() }
@@ -108,7 +99,7 @@ func (u *uop) isBranch() bool { return u.inst.IsBranch() }
 
 // uopPool recycles uop records to keep allocation off the hot path.
 type uopPool struct {
-	free []*uop //rarlint:quiescent uop allocator free list: allocation scratch with no timing content
+	free []*uop
 }
 
 func (p *uopPool) get() *uop {

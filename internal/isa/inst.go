@@ -15,13 +15,13 @@ type Inst struct {
 	// assign stable PCs so that PC-indexed structures — the branch
 	// predictor, the stalling slice table (SST), the prefetcher — see
 	// realistic locality.
-	PC uint64 //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
+	PC uint64
 
 	// Class is the instruction class.
 	Class Class
 
 	// Src1, Src2 are source operands; NoReg if absent.
-	Src1, Src2 Reg //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
+	Src1, Src2 Reg
 
 	// Dest is the destination register; it must be set to NoReg
 	// explicitly when the instruction produces no register result
@@ -30,22 +30,22 @@ type Inst struct {
 	Dest Reg
 
 	// Addr is the effective address for loads and stores.
-	Addr uint64 //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
+	Addr uint64
 
 	// Size is the access size in bytes for loads and stores.
-	Size uint8 //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
+	Size uint8
 
 	// Taken is the resolved direction for branches.
-	Taken bool //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
+	Taken bool
 
 	// Target is the resolved target for taken branches; for not-taken
 	// branches it is the fall-through PC.
-	Target uint64 //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
+	Target uint64
 
 	// WrongPath marks instructions injected by the front-end while
 	// fetching down a mispredicted path. Wrong-path instructions occupy
 	// pipeline resources but are squashed and therefore un-ACE.
-	WrongPath bool //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
+	WrongPath bool
 }
 
 // HasDest reports whether the instruction writes a register.

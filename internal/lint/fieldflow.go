@@ -253,10 +253,8 @@ func allSame(fields []*types.Var, fv *types.Var) bool {
 // Whole-struct writes (`*u = uop{}`, `c.chk = checkpoint{...}`) expand
 // to every field of the struct, recursively through nested structs and
 // pointers; reads through embedded promotions credit each field along
-// the selection path. flushreset, ffsound and skipset all build on it:
-// flushreset diffs two write closures, ffsound diffs a write closure
-// against a read closure, skipset diffs two write closures against a
-// declared field set.
+// the selection path. flushreset builds on it, diffing two write
+// closures.
 
 // flowSite records where a closure first observed an access to a field.
 type flowSite struct {

@@ -8,7 +8,7 @@ import (
 // TestFieldFlowEngine asserts the generalized interprocedural engine
 // directly against the testdata/fieldflow corpus, so a regression in
 // whole-struct expansion, embedded-promotion reads, or method-value
-// following localizes to the engine rather than to ffsound/skipset.
+// following localizes to the engine rather than to an analyzer.
 func TestFieldFlowEngine(t *testing.T) {
 	dir, err := filepath.Abs(filepath.Join("testdata", "fieldflow"))
 	if err != nil {

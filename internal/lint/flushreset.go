@@ -78,8 +78,8 @@ func flushReset(m *Module) []Diagnostic {
 	restored := fe.writeClosure(resets)
 
 	// A survives directive trails its field or sits up to two lines above
-	// it, so it can stack with a quiescent/nscaled/unit directive already
-	// annotating the same declaration.
+	// it, so it can stack with a unit directive already annotating the
+	// same declaration.
 	attached := map[*survives]int{}
 	claim := func(filename string, fieldLine int) *survives {
 		for _, l := range []int{fieldLine, fieldLine - 1, fieldLine - 2} {

@@ -3,15 +3,11 @@
 // everything feeding the memoized simulation cache, hygiene of the
 // statistics structs that become report columns, coverage of every
 // config knob the experiment sweeps claim to vary, error-return
-// discipline in the simulator packages, purity of the stall
-// fast-forward's event computation and the report read paths,
-// completeness of the runahead exit/flush restore set (the paper's
-// un-ACE argument), dimensional consistency of the metric pipeline,
-// guarded-by lock discipline of the concurrent engine front-end,
-// allocation-freedom of the per-cycle hot loop, next-event coverage of
-// every stage-written field (the fast-forward quiescence contract), and
-// exact agreement between the bulk-advance write set and the declared
-// n-scalable fields.
+// discipline in the simulator packages, purity of the pipeline's and the
+// report's read paths, completeness of the runahead exit/flush restore
+// set (the paper's un-ACE argument), dimensional consistency of the
+// metric pipeline, guarded-by lock discipline of the concurrent engine
+// front-end, and allocation-freedom of the per-cycle hot loop.
 //
 // The analyses are whole-module: rarlint loads and type-checks every
 // package of the module with go/parser and go/types (standard library
@@ -27,10 +23,6 @@
 //	//rarlint:guardedby <mu|atomic|init> declare a field's synchronization story
 //	//rarlint:locked <mu>                a method called only with mu held
 //	//rarlint:hot                        root the zero-alloc hot-loop closure
-//	//rarlint:quiescent <reason>         waive next-event coverage for one
-//	                                     stage-written field
-//	//rarlint:nscaled <reason>           declare a field part of the
-//	                                     bulk-advance write set
 //
 // each attached to the governed line or the line directly above it.
 // Malformed and stale directives are themselves findings. rarlint
@@ -97,7 +89,7 @@ func Analyzers() []*Analyzer {
 		},
 		{
 			Name: "purity",
-			Doc:  "side effects reachable from //rarlint:pure functions (the stall fast-forward's next-event contract)",
+			Doc:  "side effects reachable from //rarlint:pure functions (pipeline queries and report read paths)",
 			Run:  purity,
 		},
 		{
@@ -119,16 +111,6 @@ func Analyzers() []*Analyzer {
 			Name: "hotalloc",
 			Doc:  "allocation-freedom of every function reachable from //rarlint:hot roots (the zero-alloc per-cycle loop contract)",
 			Run:  hotalloc,
-		},
-		{
-			Name: "ffsound",
-			Doc:  "next-event coverage of every stage-written field (the fast-forward quiescence contract)",
-			Run:  ffSound,
-		},
-		{
-			Name: "skipset",
-			Doc:  "exact agreement between the bulk-advance write set, the per-cycle blocked path, and the declared //rarlint:nscaled fields",
-			Run:  skipSet,
 		},
 	}
 }
@@ -161,9 +143,9 @@ func Run(m *Module, checks []string) ([]Diagnostic, error) {
 	// The analyzers are independent and run concurrently: each consumes
 	// the shared read-only typed ASTs (token.FileSet is internally
 	// synchronized) and each mutable directive kind is claimed by exactly
-	// one analyzer (pures by purity, survives by flushreset, quiescents
-	// by ffsound, nscaleds by skipset, units by units, guardeds/lockeds
-	// by lockcheck, hots and allow-barriers by hotalloc). Suppression and
+	// one analyzer (pures by purity, survives by flushreset, units by
+	// units, guardeds/lockeds by lockcheck, hots and allow-barriers by
+	// hotalloc). Suppression and
 	// staleness accounting stay sequential, after the barrier. Findings
 	// are collected per-analyzer and ordering is restored by the final
 	// position sort, so the output is deterministic regardless of

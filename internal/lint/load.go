@@ -58,10 +58,6 @@ type Module struct {
 	guardeds map[string]map[int][]*guardedDecl
 	lockeds  map[string]map[int][]*lockedDecl
 	hots     map[string]map[int][]*hotDecl
-	// quiescents waive ffsound coverage for a stage-written field; nscaleds
-	// declare a field part of the bulk-advance (skipset) write set.
-	quiescents map[string]map[int][]*quiescent
-	nscaleds   map[string]map[int][]*nscaled
 	// badVerbs records comments with an unknown //rarlint: verb.
 	badVerbs []Diagnostic
 

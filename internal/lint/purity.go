@@ -1,11 +1,14 @@
 package lint
 
-// The purity analyzer proves the precondition of the stall fast-forward
-// (DESIGN.md §7): nextEventCycle and everything it calls must be
-// side-effect-free, or the A/B equivalence of skipping quiescent windows
-// breaks. Functions carry //rarlint:pure on their declaration; the
-// analyzer closes the set over the static call graph, so a mutation
-// added three helpers deep is caught without re-annotating anything.
+// The purity analyzer proves that the functions declared side-effect-free
+// stay so: the pipeline's query helpers (structural-stall and
+// source-readiness tests, the ROB-head lookup), the MSHR and ledger
+// accessors, and the Stats/report read paths, which callers — the
+// invariant auditor and report code included — call freely, assuming a
+// query never perturbs the run. Functions carry //rarlint:pure on their
+// declaration; the analyzer closes the set over the static call graph,
+// so a mutation added three helpers deep is caught without re-annotating
+// anything.
 //
 // Inside a pure closure the analyzer rejects every write whose target
 // can outlive the call: assignments through pointers, struct fields

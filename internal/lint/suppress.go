@@ -16,16 +16,9 @@ package lint
 //	//rarlint:locked <mu>               a method whose contract is "called
 //	                                    with the receiver's mu held"
 //	//rarlint:hot                       an allocation-free hot-loop root
-//	//rarlint:quiescent <reason>        a stage-written field whose changes
-//	                                    need not bound the fast-forward skip
-//	                                    (derived from covered state)
-//	//rarlint:nscaled <reason>          a field the bulk-advance path
-//	                                    n-scales; declares membership in the
-//	                                    skipset write set
 //
 // A directive must be well-formed — allow names exactly one existing
-// check and carries a reason, survives, quiescent and nscaled carry a
-// reason, unit's
+// check and carries a reason, survives carries a reason, unit's
 // expression must parse, guardedby and locked carry a lock argument —
 // and must stay *live*: an allow that no longer
 // suppresses anything and a survives that no longer matches a finding
@@ -46,9 +39,7 @@ const (
 	verbGuardedBy = "guardedby"
 	verbHot       = "hot"
 	verbLocked    = "locked"
-	verbNscaled   = "nscaled"
 	verbPure      = "pure"
-	verbQuiescent = "quiescent"
 	verbSurvives  = "survives"
 	verbUnit      = "unit"
 )
@@ -96,23 +87,6 @@ type lockedDecl struct {
 // roots the hotalloc allocation-freedom closure.
 type hotDecl struct {
 	used bool
-}
-
-// quiescent is one parsed //rarlint:quiescent directive: the annotated
-// field is written by the stage closures but deliberately not read by any
-// next-event source — its value is derived from covered state, so a
-// pending change to it never needs to bound the fast-forward skip.
-type quiescent struct {
-	reason string
-	used   bool
-}
-
-// nscaled is one parsed //rarlint:nscaled directive: the annotated field
-// is part of the declared bulk-advance write set — skipTo/bulkAdvance
-// n-scale it across the skipped cycles.
-type nscaled struct {
-	reason string
-	used   bool
 }
 
 const directivePrefix = "//rarlint:"
@@ -171,15 +145,11 @@ func (m *Module) collectDirectives(filename string, f *ast.File) {
 			case verbHot:
 				// Trailing words are commentary.
 				addLine(&m.hots, filename, line, &hotDecl{})
-			case verbQuiescent:
-				addLine(&m.quiescents, filename, line, &quiescent{reason: strings.Join(fields, " ")})
-			case verbNscaled:
-				addLine(&m.nscaleds, filename, line, &nscaled{reason: strings.Join(fields, " ")})
 			default:
 				m.badVerbs = append(m.badVerbs, Diagnostic{
 					Pos: positionAt(filename, line), Check: "lint",
 					Message: "unknown rarlint directive //rarlint:" + verb +
-						" (have allow, guardedby, hot, locked, nscaled, pure, quiescent, survives, unit)"})
+						" (have allow, guardedby, hot, locked, pure, survives, unit)"})
 			}
 		}
 	}
@@ -231,26 +201,6 @@ func (m *Module) checkDirectives() []Diagnostic {
 				if s.reason == "" {
 					diags = append(diags, Diagnostic{Pos: positionAt(filename, line), Check: "lint",
 						Message: "rarlint:survives needs a reason"})
-				}
-			}
-		}
-	}
-	for filename, byLine := range m.quiescents {
-		for line, qs := range byLine {
-			for _, q := range qs {
-				if q.reason == "" {
-					diags = append(diags, Diagnostic{Pos: positionAt(filename, line), Check: "lint",
-						Message: "rarlint:quiescent needs a reason"})
-				}
-			}
-		}
-	}
-	for filename, byLine := range m.nscaleds {
-		for line, ns := range byLine {
-			for _, n := range ns {
-				if n.reason == "" {
-					diags = append(diags, Diagnostic{Pos: positionAt(filename, line), Check: "lint",
-						Message: "rarlint:nscaled needs a reason"})
 				}
 			}
 		}
@@ -436,8 +386,6 @@ var attachTargets = map[string]string{
 	verbGuardedBy: "a struct field",
 	verbLocked:    "a method declaration",
 	verbHot:       "a function declaration",
-	verbQuiescent: "an audited struct field declaration",
-	verbNscaled:   "an audited struct field declaration",
 }
 
 // positionAt fabricates a position for directive-level diagnostics.

@@ -1,7 +1,7 @@
 // Package flow is the generalized field-flow engine's corpus:
 // whole-struct writes, embedded promotions and method values, asserted
-// directly by fieldflow_test.go rather than through any analyzer (so an
-// ffsound or skipset regression localizes to the engine vs the check).
+// directly by fieldflow_test.go rather than through any analyzer (so a
+// flushreset regression localizes to the engine vs the check).
 // It deliberately trips no analyzer: no seed function names, no
 // directives, no expectations.
 package flow

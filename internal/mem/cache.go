@@ -21,13 +21,11 @@ const lineShift = 6
 func LineAddr(addr uint64) uint64 { return addr &^ (LineSize - 1) }
 
 type cacheLine struct {
-	tag uint64 //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
-	//rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
+	tag     uint64
 	readyAt uint64 // cycle the fill completes; 0 for lines present "forever"
-	//rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
 	lastUse uint64 // LRU timestamp
-	valid   bool   //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
-	dirty   bool   //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
+	valid   bool
+	dirty   bool
 }
 
 // Cache is one set-associative, write-back, write-allocate cache level.
@@ -39,8 +37,8 @@ type Cache struct {
 	lines   []cacheLine // sets*ways, way-major within a set
 
 	// stats
-	accesses uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	misses   uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	accesses uint64
+	misses   uint64
 }
 
 // NewCache builds a cache of sizeBytes with the given associativity and

@@ -98,11 +98,11 @@ type Hierarchy struct {
 	dram             *DRAM
 	pf               *StridePrefetcher
 
-	demandLoads     uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	demandLLCMisses uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	missCycles      uint64 //rarlint:quiescent MLP accounting: feeds end-of-run stats, never timing
-	busyCycles      uint64 //rarlint:quiescent MLP accounting: feeds end-of-run stats, never timing
-	coveredUntil    uint64 //rarlint:quiescent MLP accounting cursor: feeds end-of-run stats, never timing
+	demandLoads     uint64
+	demandLLCMisses uint64
+	missCycles      uint64
+	busyCycles      uint64
+	coveredUntil    uint64
 }
 
 // NewHierarchy builds a single-core hierarchy from cfg (private LLC).
@@ -233,15 +233,6 @@ func (h *Hierarchy) prefetch(lines []uint64, now uint64, toL1 bool) {
 			h.insert(h.L2, h.L3, la, done, now, false)
 		}
 	}
-}
-
-// NextFillAt returns the earliest cycle after now at which an outstanding
-// L1D miss fills, or ok=false when none is in flight — the memory system's
-// contribution to the core's next-event computation (see MSHRs.NextFillAt).
-//
-//rarlint:pure
-func (h *Hierarchy) NextFillAt(now uint64) (uint64, bool) {
-	return h.mshrs.NextFillAt(now)
 }
 
 // FetchAccess performs an instruction fetch of the line holding pc and

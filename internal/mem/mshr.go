@@ -9,10 +9,10 @@ type MSHRs struct {
 	entries []mshrEntry
 	size    int
 
-	allocs uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	merges uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	full   uint64 //rarlint:quiescent back-pressure flag: recomputed on each stage-driven access
-	peak   int    //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	allocs uint64
+	merges uint64
+	full   uint64
+	peak   int
 }
 
 type mshrEntry struct {
@@ -66,26 +66,6 @@ func (m *MSHRs) Allocate(addr, now, fillAt uint64) bool {
 	}
 	m.full++
 	return false
-}
-
-// NextFillAt returns the earliest cycle after now at which an in-flight
-// miss completes its fill, or ok=false when nothing is outstanding. The
-// core's stall fast-forward uses it as a conservative bound on how far the
-// clock may skip: every DRAM/LLC return time is registered here, so no
-// data arrival can fall inside a skipped window. Read-only: unlike the
-// access paths it does not reap expired entries.
-//
-//rarlint:pure
-func (m *MSHRs) NextFillAt(now uint64) (fillAt uint64, ok bool) {
-	for i := range m.entries {
-		if !m.entries[i].valid || m.entries[i].fillAt <= now {
-			continue
-		}
-		if !ok || m.entries[i].fillAt < fillAt {
-			fillAt, ok = m.entries[i].fillAt, true
-		}
-	}
-	return fillAt, ok
 }
 
 // Outstanding returns the number of in-flight misses at cycle now.

@@ -37,19 +37,19 @@ type StridePrefetcher struct {
 	// buf is Train's reusable output buffer. Train fires on every demand
 	// access when prefetching is on; its result is consumed synchronously
 	// by the hierarchy before the next access, so one buffer suffices.
-	buf []uint64 //rarlint:quiescent prefetch training table: trained and consulted only by stage-driven accesses
+	buf []uint64
 
-	issued uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	trains uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	issued uint64
+	trains uint64
 }
 
 type pfStream struct {
-	region   uint64 //rarlint:quiescent prefetch training table: trained and consulted only by stage-driven accesses
-	lastLine uint64 //rarlint:quiescent prefetch training table: trained and consulted only by stage-driven accesses
-	stride   int64  //rarlint:quiescent prefetch training table: trained and consulted only by stage-driven accesses
-	conf     int    //rarlint:quiescent prefetch training table: trained and consulted only by stage-driven accesses
-	lastUse  uint64 //rarlint:quiescent prefetch training table: trained and consulted only by stage-driven accesses
-	valid    bool   //rarlint:quiescent prefetch training table: trained and consulted only by stage-driven accesses
+	region   uint64
+	lastLine uint64
+	stride   int64
+	conf     int
+	lastUse  uint64
+	valid    bool
 }
 
 // NewStridePrefetcher builds a prefetcher that runs degree lines ahead.

@@ -1,11 +1,16 @@
 package multicore
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
+	"rarsim/internal/ace"
 	"rarsim/internal/config"
 	"rarsim/internal/core"
+	"rarsim/internal/mem"
 	"rarsim/internal/trace"
 )
 
@@ -154,5 +159,107 @@ func TestChipRelZeroDenominators(t *testing.T) {
 		} else if got != tc.want {
 			t.Errorf("%s = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// Goldens of TestGoldenChip: FNV-1a hashes of %#v of the per-core Stats
+// and of the injection samples after the run.
+const (
+	goldenChipStats   = "dc61aec00bb7ec6f"
+	goldenChipSamples = "af174f7682a584b0"
+)
+
+// hashGo returns the FNV-1a hash of v's Go-syntax representation.
+func hashGo(v any) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%#v", v)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestGoldenChip pins the full per-core Stats of one heterogeneous
+// four-core chip, with a fault-injection campaign on one core and the
+// invariant auditor on another. Any change to simulated timing,
+// shared-LLC/DRAM contention or accounting moves the hash.
+func TestGoldenChip(t *testing.T) {
+	var loads []Workload
+	schemes := []config.Scheme{config.RAR, config.OoO, config.FLUSH, config.TR}
+	for i, n := range []string{"libquantum", "gems", "fotonik", "milc"} {
+		b, err := trace.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads = append(loads, Workload{Bench: b, Scheme: schemes[i]})
+	}
+	sys, err := New(config.Baseline(), loads, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var samples []core.InjectSample
+	for cyc := uint64(2_003); cyc < 60_000; cyc += 7_919 {
+		samples = append(samples,
+			core.InjectSample{Cycle: cyc, Structure: ace.ROB, Slot: int(cyc % 192)},
+			core.InjectSample{Cycle: cyc + 13, Structure: ace.IQ, Slot: int(cyc % 92)},
+		)
+	}
+	sys.Core(1).InjectSamples(samples)
+	sys.Core(2).EnableAudit(1_000)
+	stats, err := sys.Run(10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hashGo(stats); got != goldenChipStats {
+		t.Errorf("chip stats hash %s, golden %s — simulation results drifted", got, goldenChipStats)
+	}
+	if got := hashGo(samples); got != goldenChipSamples {
+		t.Errorf("chip injection samples hash %s, golden %s", got, goldenChipSamples)
+	}
+	resolved := 0
+	for _, s := range samples {
+		if s.Outcome != core.InjectPending {
+			resolved++
+		}
+	}
+	if resolved == 0 {
+		t.Error("no injection sample resolved — the test exercised nothing")
+	}
+}
+
+// TestChipWatchdogFrozenCoRunner pins the watchdog's false-progress fix:
+// a chip where one core finishes and its co-runner is genuinely wedged
+// must still trip the no-progress watchdog. (The old per-cycle sum
+// covered live cores only, so the finished core dropping out made the
+// total *decrease*, which read as progress and reset the deadline.) The
+// frozen core here has a zero-entry load queue: its first load can never
+// dispatch, the front-end fills, and no event source ever fires.
+func TestChipWatchdogFrozenCoRunner(t *testing.T) {
+	healthyCfg := config.Baseline()
+	frozenCfg := config.Baseline()
+	frozenCfg.LQ = 0
+	b, err := trace.ByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := mem.NewSharedLLC(healthyCfg.Mem)
+	mk := func(cfg config.Core, seed uint64) *core.Core {
+		h := mem.NewHierarchyWithShared(cfg.Mem, shared)
+		return core.NewWithHierarchy(cfg, config.OoO, b.Name, trace.New(b, seed), h)
+	}
+	healthy := mk(healthyCfg, 42)
+	frozen := mk(frozenCfg, 43)
+	sys := &System{
+		cores:    []*core.Core{healthy, frozen},
+		shared:   shared,
+		watchdog: 20_000,
+	}
+	_, err = sys.Run(2_000)
+	if err == nil {
+		t.Fatal("frozen co-runner must trip the chip watchdog")
+	}
+	if !strings.Contains(err.Error(), "no commit") {
+		t.Fatalf("want a no-progress report, got: %v", err)
+	}
+	if healthy.Committed() < 2_000 {
+		t.Errorf("healthy core committed %d before the watchdog fired, want 2000 — "+
+			"the deadline must only cover the wedged remainder", healthy.Committed())
 	}
 }

@@ -27,11 +27,6 @@ type Options struct {
 	Seed uint64
 	// Parallelism caps concurrent simulations; <=0 uses GOMAXPROCS.
 	Parallelism int
-	// NoFastForward disables the core's stall fast-forward, forcing the
-	// classic cycle-by-cycle loop. By the equivalence contract (ff.go,
-	// DESIGN.md) it changes wall-clock time only, never results — which is
-	// why, like Parallelism, it is excluded from the memo cache key.
-	NoFastForward bool
 }
 
 // DefaultOptions returns a 1M-instruction measurement after a 200k
@@ -55,11 +50,7 @@ type ResultSet struct {
 
 // Run simulates one cell and returns its statistics.
 func Run(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, opt Options) (core.Stats, error) {
-	c := core.New(cfg, scheme, bench, opt.Seed)
-	if opt.NoFastForward {
-		c.SetStallFastForward(false)
-	}
-	return c.RunWarm(opt.Warmup, opt.Instructions)
+	return core.New(cfg, scheme, bench, opt.Seed).RunWarm(opt.Warmup, opt.Instructions)
 }
 
 // RunMatrix simulates every (core, scheme, benchmark) combination in

@@ -5,10 +5,10 @@ import "rarsim/internal/isa"
 // RandomBenchmark derives a random but valid synthetic benchmark from an
 // arbitrary byte string: instruction mixes, dependence distances, stream
 // patterns and branch placements all vary with raw, while staying inside
-// the spec's validation rules. It is the shared generator behind the
-// fast-forward equivalence fuzz harnesses (single-core and chip-level):
-// the same raw bytes always produce the same benchmark, so a failing
-// input reported by testing/quick reproduces exactly.
+// the spec's validation rules. It drives the random-program fuzz tests
+// (TestRandomProgramsRun and the block-synthesis tests): the same raw
+// bytes always produce the same benchmark, so a failing input reported by
+// testing/quick reproduces exactly.
 func RandomBenchmark(raw []byte) Benchmark {
 	next := func(i int) int {
 		if len(raw) == 0 {

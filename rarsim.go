@@ -220,10 +220,7 @@ type ChipWorkload = multicore.Workload
 
 // NewChip builds a multicore system: one core per workload, private
 // L1/L2/MSHRs, shared LLC and DRAM (the paper's §VI-E deployment). Cores
-// step in lockstep so contention is modelled; the chip-level stall
-// fast-forward defers provably quiescent cores for wall-clock speed
-// without changing results (disable it with SetStallFastForward(false)
-// — the chip's -no-ff escape hatch).
+// step in lockstep so contention is modelled.
 func NewChip(cfg CoreConfig, loads []ChipWorkload, seed uint64) (*multicore.System, error) {
 	return multicore.New(cfg, loads, seed)
 }
