@@ -1,13 +1,13 @@
 # Developer workflow. `make ci` is what every PR must pass: vet, the
-# rarlint static analyzer, build, and the full test suite under the race
+# rarlint static analyzer, build, the full test suite under the race
 # detector — the memoizing simulation engine is concurrency-heavy, so
-# -race is not optional.
+# -race is not optional — and the repository benchmark's own tests.
 
 GO ?= go
 
-.PHONY: ci vet lint sarif build test race bench bench-smoke serve-smoke microbench clean
+.PHONY: ci vet lint sarif build test race rarbench-test bench bench-smoke serve-smoke microbench clean
 
-ci: vet lint build race
+ci: vet lint build race rarbench-test
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +32,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# rarbench-test runs the repository benchmark's tests (_rarbench), which
+# check the golden Stats hashes of all three workloads at tiny sizes.
+# `./...` skips the directory: its leading underscore hides it from Go
+# package patterns.
+rarbench-test:
+	cd _rarbench && $(GO) test -race .
 
 # bench runs the tracked perf harness (cmd/bench): per-cell and per-chip
 # simulated instructions/second, per-class aggregates and matrix

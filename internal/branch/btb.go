@@ -1,5 +1,7 @@
 package branch
 
+import "rarsim/internal/reuse"
+
 // BTB is a direct-mapped branch target buffer. The front-end consults it
 // for predicted-taken branches; a BTB miss on a taken branch costs a
 // front-end re-steer, modelled by the core as a short fetch bubble.
@@ -11,18 +13,29 @@ type BTB struct {
 	misses  uint64
 }
 
+// btbEntry orders target first so the entry packs into 16 bytes.
 type btbEntry struct {
-	tag    uint32
 	target uint64
+	tag    uint32
 	valid  bool
 }
 
 // NewBTB builds a BTB with 2^logSize entries.
-func NewBTB(logSize int) *BTB {
-	return &BTB{
-		entries: make([]btbEntry, 1<<logSize),
+func NewBTB(logSize int) *BTB { return ReuseBTB(nil, logSize) }
+
+// ReuseBTB is NewBTB rebuilt into old, a BTB whose run has finished: the
+// entries are invalidated in place and the counters reset. A nil old
+// builds a fresh BTB.
+func ReuseBTB(old *BTB, logSize int) *BTB {
+	b := old
+	if b == nil {
+		b = new(BTB)
+	}
+	*b = BTB{
+		entries: reuse.Zeroed(b.entries, 1<<logSize),
 		mask:    (1 << logSize) - 1,
 	}
+	return b
 }
 
 // Lookup returns the stored target for the branch at pc.

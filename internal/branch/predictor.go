@@ -1,5 +1,7 @@
 package branch
 
+import "rarsim/internal/reuse"
+
 // Predictor is the full direction predictor: TAGE + loop predictor + a
 // small statistical-corrector-style confidence filter, plus the speculative
 // history interface the core uses for squash recovery.
@@ -23,10 +25,21 @@ type Predictor struct {
 }
 
 // NewPredictor returns a freshly initialised predictor.
-func NewPredictor() *Predictor {
-	p := &Predictor{tage: newTAGE()}
+func NewPredictor() *Predictor { return ReusePredictor(nil) }
+
+// ReusePredictor is NewPredictor rebuilt into old, a predictor whose run
+// has finished: every table, counter and history register is reset, the
+// table arrays in place. The result predicts exactly as a fresh predictor
+// does. A nil old builds a fresh predictor.
+func ReusePredictor(old *Predictor) *Predictor {
+	p := old
+	if p == nil {
+		p = new(Predictor)
+	}
+	sc := p.sc
+	*p = Predictor{tage: reuseTAGE(p.tage)}
 	for i := range p.sc {
-		p.sc[i] = make([]int8, 1<<logSC)
+		p.sc[i] = reuse.Zeroed(sc[i], 1<<logSC)
 	}
 	return p
 }

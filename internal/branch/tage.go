@@ -1,5 +1,7 @@
 package branch
 
+import "rarsim/internal/reuse"
+
 // TAGE proper: a bimodal base predictor plus nTables tagged components
 // indexed by hashes of geometrically increasing history lengths. Prediction
 // comes from the hitting component with the longest history; allocation on
@@ -55,12 +57,17 @@ type tage struct {
 	rnd        uint64 // private xorshift for allocation randomisation
 }
 
-func newTAGE() *tage {
-	t := &tage{
-		bimodal: make([]int8, 1<<logBimodal),
+// reuseTAGE builds a freshly initialised TAGE, into old's arrays when old
+// is non-nil.
+func reuseTAGE(old *tage) *tage {
+	t := old
+	if t == nil {
+		t = new(tage)
 	}
+	tables := t.tables
+	*t = tage{bimodal: reuse.Zeroed(t.bimodal, 1<<logBimodal)}
 	for i := range t.tables {
-		t.tables[i] = make([]taggedEntry, 1<<logTagged)
+		t.tables[i] = reuse.Zeroed(tables[i], 1<<logTagged)
 	}
 	for i := 0; i < nTables; i++ {
 		t.hist.idxFold[i] = newFolded(historyLens[i], logTagged)

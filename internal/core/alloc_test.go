@@ -37,7 +37,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := New(config.Baseline(), tc.scheme, b, 42)
+			c := New(nil, config.Baseline(), tc.scheme, b, 42)
 			// Steady state: one long window sizes the uop pool, the
 			// stream buffer, the front-end queue and every scratch
 			// slice to their high-water marks.
@@ -76,7 +76,7 @@ func BenchmarkSteadyStateWindow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := New(config.Baseline(), config.RAR, bench, 42)
+	c := New(nil, config.Baseline(), config.RAR, bench, 42)
 	if _, err := c.Run(60_000); err != nil {
 		b.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestAuditAllSchemes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := New(config.Baseline(), s, b, 11)
+				c := New(nil, config.Baseline(), s, b, 11)
 				c.EnableAudit(64)
 				if _, err := c.Run(30_000); err != nil {
 					t.Fatal(err)

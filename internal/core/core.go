@@ -9,6 +9,7 @@ import (
 	"rarsim/internal/config"
 	"rarsim/internal/isa"
 	"rarsim/internal/mem"
+	"rarsim/internal/reuse"
 	"rarsim/internal/trace"
 )
 
@@ -32,7 +33,8 @@ const (
 )
 
 // Core is one simulated out-of-order processor running one workload under
-// one scheme. Create with New, run with Run. A Core is single-use.
+// one scheme. Create with New, run with Run. A Core runs one simulation;
+// afterwards its owner may hand it to New as old to build the next one.
 type Core struct {
 	cfg    config.Core
 	scheme config.Scheme
@@ -106,6 +108,9 @@ type Core struct {
 	// needs rewinding at a flush or runahead exit.
 	cwBuckets  [cwSize][]waiter
 	cwOverflow []cwEntry
+	// cwBacking is the buckets' shared preallocated backing array, kept
+	// so that a recycled core can carve it up again.
+	cwBacking []waiter
 	// cwOvMin is the earliest doneAt in cwOverflow (math.MaxUint64 when
 	// empty); it may go stale-low via squashed entries, which costs a
 	// redundant migration scan, never a missed completion.
@@ -120,6 +125,9 @@ type Core struct {
 	// on the incarnation that registered it.
 	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
 	waiters [][]waiter
+	// waiterBacking is the waiter lists' shared preallocated backing
+	// array, kept so that a recycled core can carve it up again.
+	waiterBacking []waiter
 
 	// bpSnapArena backs the history snapshots of in-flight mispredicted
 	// branches, indexed by uop.bpSnap. Only mispredicts allocate a slot
@@ -294,69 +302,102 @@ func (s Stats) MispredictRate() float64 {
 }
 
 // New builds a core for the given configuration, scheme and synthetic
-// workload.
-func New(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, seed uint64) *Core {
-	return NewFromSource(cfg, scheme, bench.Name, trace.New(bench, seed))
+// workload. old is nil for a fresh core, or a finished core built by New
+// whose storage the new one takes over (see NewWithHierarchy), its memory
+// hierarchy included.
+func New(old *Core, cfg config.Core, scheme config.Scheme, bench trace.Benchmark, seed uint64) *Core {
+	var h *mem.Hierarchy
+	if old != nil {
+		h = old.hier
+	}
+	return NewWithHierarchy(old, cfg, scheme, bench.Name, trace.New(bench, seed), mem.ReuseHierarchy(h, cfg.Mem))
 }
 
 // NewFromSource builds a core running an arbitrary instruction source —
 // a recorded trace file, or any other Source implementation.
 func NewFromSource(cfg config.Core, scheme config.Scheme, name string, gen trace.Source) *Core {
-	return NewWithHierarchy(cfg, scheme, name, gen, mem.NewHierarchy(cfg.Mem))
+	return NewWithHierarchy(nil, cfg, scheme, name, gen, mem.NewHierarchy(cfg.Mem))
 }
 
 // NewWithHierarchy builds a core on an existing memory hierarchy — the
 // multicore driver passes per-core hierarchies that share an LLC and DRAM
 // (mem.NewHierarchyWithShared).
-func NewWithHierarchy(cfg config.Core, scheme config.Scheme, name string, gen trace.Source, h *mem.Hierarchy) *Core {
-	c := &Core{
+//
+// old is nil for a fresh core. Otherwise it is a core whose run has
+// finished and that its owner hands over for good: the new core is built
+// into it and keeps its arrays — completion wheel, waiter lists, ROB,
+// front-end ring, stream buffer, predictor and BTB tables, SST and
+// producer table, uop records — re-zeroed in place, or reallocated where
+// cfg needs them larger. Every field is reset first, so a recycled core
+// simulates exactly as a fresh one (TestRecycledCoreMatchesFresh); only
+// the garbage differs. h is taken as given either way.
+func NewWithHierarchy(old *Core, cfg config.Core, scheme config.Scheme, name string, gen trace.Source, h *mem.Hierarchy) *Core {
+	c := old
+	if c == nil {
+		c = new(Core)
+	}
+	prev := *c
+	nRegs := cfg.IntRegs + cfg.FpRegs
+	*c = Core{
 		cfg:     cfg,
 		scheme:  scheme,
 		bits:    ace.DefaultBits(),
 		gen:     gen,
-		stream:  newStreamBuf(gen),
-		bp:      branch.NewPredictor(),
-		btb:     branch.NewBTB(12),
+		stream:  newStreamBuf(prev.stream, gen),
+		bp:      branch.ReusePredictor(prev.bp),
+		btb:     branch.ReuseBTB(prev.btb, 12),
 		hier:    h,
 		ledger:  ace.NewLedger(),
-		regs:    newRegFile(cfg.IntRegs, cfg.FpRegs),
-		rob:     make([]*uop, cfg.ROB),
-		waiters: make([][]waiter, cfg.IntRegs+cfg.FpRegs),
-		sstT:    newSST(cfg.SST),
-		prod:    newProducers(12),
+		regs:    newRegFile(prev.regs, cfg.IntRegs, cfg.FpRegs),
+		pool:    prev.pool.reclaim(),
+		rob:     reuse.Zeroed(prev.rob, cfg.ROB),
+		waiters: reuse.Zeroed(prev.waiters, nRegs),
+		sstT:    newSST(prev.sstT, cfg.SST),
+		prod:    newProducers(prev.prod, 12),
+		// Queues and scratch buffers restart empty on their old backing
+		// arrays; nothing reads past their length.
+		iq:            prev.iq[:0],
+		readyList:     prev.readyList[:0],
+		sqList:        prev.sqList[:0],
+		prdq:          prev.prdq[:0],
+		storeBuf:      prev.storeBuf[:0],
+		bpSnapArena:   prev.bpSnapArena[:0],
+		bpSnapFree:    prev.bpSnapFree[:0],
+		doneScratch:   prev.doneScratch[:0],
+		squashScratch: prev.squashScratch[:0],
+		cwOverflow:    reuse.Zeroed(prev.cwOverflow, cfg.ROB)[:0],
+		wpScratch:     reuse.Zeroed(prev.wpScratch, cfg.Width),
+		// Pre-size the completion-wheel buckets out of one contiguous
+		// backing array. Unlike a single flat list, 256 independent
+		// slices each chase their own high-water mark — without
+		// preallocation, rare (bucket, depth) combinations keep
+		// allocating far into steady state.
+		cwBacking: reuse.Zeroed(prev.cwBacking, cwSize*cwBucketCap),
+		// Pre-size every per-register waiter list out of one contiguous
+		// backing array, so the lists stop allocating on the hot path as
+		// rare combinations set new high-water marks. The per-register
+		// capacity is deliberately small: sizing every list for the 2*IQ
+		// worst case put registers ~3KB apart — a megabyte of backing
+		// whose appends missed cache on nearly every registration.
+		// waiterCap entries cover the common case with the whole backing
+		// L2-resident; the rare register that collects more waiters grows
+		// its own slice once and keeps it for the rest of the run.
+		waiterBacking: reuse.Zeroed(prev.waiterBacking, nRegs*waiterCap),
 	}
 	if b, ok := gen.(trace.BlockSource); ok {
 		c.genBlk = b
 	}
 	c.cwOvMin = math.MaxUint64
 	c.watchdog = watchdogWindow + DRAMStallAllowance(cfg)
-	// Pre-size the completion-wheel buckets out of one contiguous backing
-	// array. Unlike a single flat list, 256 independent slices each chase
-	// their own high-water mark — without preallocation, rare
-	// (bucket, depth) combinations keep allocating far into steady state.
-	cwBacking := make([]waiter, cwSize*cwBucketCap)
 	for i := range c.cwBuckets {
-		c.cwBuckets[i] = cwBacking[i*cwBucketCap : i*cwBucketCap : (i+1)*cwBucketCap]
+		c.cwBuckets[i] = c.cwBacking[i*cwBucketCap : i*cwBucketCap : (i+1)*cwBucketCap]
 	}
-	c.cwOverflow = make([]cwEntry, 0, cfg.ROB)
+	for i := range c.waiters {
+		c.waiters[i] = c.waiterBacking[i*waiterCap : i*waiterCap : (i+1)*waiterCap]
+	}
 	// Fetch checks the soft cap before a group and then pushes up to one
 	// full group, so frontQCap()+Width bounds occupancy.
-	c.frontQ = newFrontRing(c.frontQCap() + cfg.Width)
-	c.wpScratch = make([]isa.Inst, cfg.Width)
-	// Pre-size every per-register waiter list out of one contiguous
-	// backing array, so the lists stop allocating on the hot path as rare
-	// combinations set new high-water marks. The per-register capacity is
-	// deliberately small: sizing every list for the 2*IQ worst case put
-	// registers ~3KB apart — a megabyte of backing whose appends missed
-	// cache on nearly every registration. Sixteen entries cover the
-	// common case with the whole backing L2-resident; the rare register
-	// that collects more waiters grows its own slice once and keeps it.
-	nRegs := cfg.IntRegs + cfg.FpRegs
-	const wcap = 16
-	backing := make([]waiter, nRegs*wcap)
-	for i := range c.waiters {
-		c.waiters[i] = backing[i*wcap : i*wcap : (i+1)*wcap]
-	}
+	c.frontQ = newFrontRing(prev.frontQ.buf, c.frontQCap()+cfg.Width)
 	c.fuPools[fuIntAdd] = cfg.IntAdd
 	c.fuPools[fuIntMult] = cfg.IntMult
 	c.fuPools[fuIntDiv] = cfg.IntDiv
@@ -374,6 +415,9 @@ func NewWithHierarchy(cfg config.Core, scheme config.Scheme, name string, gen tr
 	})
 	return c
 }
+
+// waiterCap is each per-register waiter list's preallocated capacity.
+const waiterCap = 16
 
 // watchdogWindow is the commit-progress slack: a run that commits nothing
 // for watchdogWindow cycles beyond the longest stall its DRAM timing can

@@ -22,7 +22,7 @@ func runOn(t *testing.T, cfg config.Core, scheme config.Scheme, benchName string
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(cfg, scheme, b, 42).RunWarm(20_000, testInsts)
+	st, err := New(nil, cfg, scheme, b, 42).RunWarm(20_000, testInsts)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", scheme.Name, benchName, err)
 	}
@@ -167,7 +167,7 @@ func TestComputeIntensiveNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := New(config.Baseline(), s, b, 42).RunWarm(150_000, testInsts)
+		st, err := New(nil, config.Baseline(), s, b, 42).RunWarm(150_000, testInsts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestAllSchemesAllMemBenchmarks(t *testing.T) {
 			b, s := b, s
 			t.Run(b.Name+"/"+s.Name, func(t *testing.T) {
 				t.Parallel()
-				st, err := New(config.Baseline(), s, b, 7).Run(25_000)
+				st, err := New(nil, config.Baseline(), s, b, 7).Run(25_000)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -287,7 +287,7 @@ func TestArchitecturalEquivalence(t *testing.T) {
 		}
 		var ref Stats
 		for i, s := range append(config.Schemes(), config.RunaheadVariants()...) {
-			st, err := New(config.Baseline(), s, b, 42).Run(20_000)
+			st, err := New(nil, config.Baseline(), s, b, 42).Run(20_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +303,7 @@ func TestArchitecturalEquivalence(t *testing.T) {
 					bn, s.Name, ref.Scheme, st.CommitHash, ref.CommitHash)
 			}
 		}
-		other, err := New(config.Baseline(), config.OoO, b, 43).Run(20_000)
+		other, err := New(nil, config.Baseline(), config.OoO, b, 43).Run(20_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestWatchdogSurvivesLongStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(slowDRAMCore(), config.OoO, b, 42)
+	c := New(nil, slowDRAMCore(), config.OoO, b, 42)
 	st, err := c.Run(2_000)
 	if err != nil {
 		t.Fatalf("slow-DRAM run must survive the watchdog: %v", err)
@@ -356,7 +356,7 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(cfg, config.OoO, b, 42)
+	c := New(nil, cfg, config.OoO, b, 42)
 	_, err = c.Run(2_000)
 	if err == nil {
 		t.Fatal("LQ=0 deadlock must trip the watchdog")

@@ -3,6 +3,7 @@ package core
 import (
 	"rarsim/internal/branch"
 	"rarsim/internal/isa"
+	"rarsim/internal/reuse"
 )
 
 // hammockSpan is the longest forward branch (in bytes) treated as a
@@ -28,12 +29,14 @@ type frontRing struct {
 	n    int
 }
 
-func newFrontRing(capacity int) frontRing {
+// newFrontRing builds an empty ring holding at least capacity entries,
+// reusing buf's backing array when it is large enough.
+func newFrontRing(buf []*uop, capacity int) frontRing {
 	size := 1
 	for size < capacity {
 		size <<= 1
 	}
-	return frontRing{buf: make([]*uop, size)}
+	return frontRing{buf: reuse.Zeroed(buf, size)}
 }
 
 //rarlint:pure

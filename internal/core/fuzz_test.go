@@ -19,7 +19,7 @@ func TestRandomProgramsRun(t *testing.T) {
 	f := func(raw []byte, seed uint64) bool {
 		b := trace.RandomBenchmark(raw)
 		for _, s := range []config.Scheme{config.OoO, config.RAR} {
-			c := New(config.Baseline(), s, b, seed)
+			c := New(nil, config.Baseline(), s, b, seed)
 			c.EnableAudit(256)
 			st, err := c.Run(4_000)
 			if err != nil || st.Committed != 4_000 {

@@ -68,7 +68,7 @@ func goldenRun(t *testing.T, scheme config.Scheme, bench string, arm func(*Core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(config.Baseline(), scheme, b, 42)
+	c := New(nil, config.Baseline(), scheme, b, 42)
 	if arm != nil {
 		arm(c)
 	}

@@ -52,7 +52,7 @@ func BenchmarkStageLoopWindow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := New(config.Baseline(), config.OoO, bench, 42)
+	c := New(nil, config.Baseline(), config.OoO, bench, 42)
 	if _, err := c.Run(60_000); err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "rarsim/internal/isa"
+import (
+	"rarsim/internal/isa"
+	"rarsim/internal/reuse"
+)
 
 // regFile is the register renaming state: the register allocation table
 // (RAT), the physical-register free lists, and the per-physical-register
@@ -21,12 +24,20 @@ type regFile struct {
 	freeFp  []int16
 }
 
-func newRegFile(nInt, nFp int) *regFile {
-	r := &regFile{
-		nInt:  nInt,
-		nFp:   nFp,
-		ready: make([]bool, nInt+nFp),
-		inv:   make([]bool, nInt+nFp),
+// newRegFile builds the reset renaming state, into old's storage when
+// old is non-nil.
+func newRegFile(old *regFile, nInt, nFp int) *regFile {
+	r := old
+	if r == nil {
+		r = new(regFile)
+	}
+	*r = regFile{
+		nInt:    nInt,
+		nFp:     nFp,
+		ready:   reuse.Zeroed(r.ready, nInt+nFp),
+		inv:     reuse.Zeroed(r.inv, nInt+nFp),
+		freeInt: r.freeInt[:0],
+		freeFp:  r.freeFp[:0],
 	}
 	// Architectural registers start mapped to the low physical registers
 	// of each file, ready and clean.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRegFileInit(t *testing.T) {
-	r := newRegFile(168, 168)
+	r := newRegFile(nil, 168, 168)
 	// Architectural registers map to the low physical registers, ready.
 	for a := isa.Reg(0); a < isa.NumRegs; a++ {
 		p := r.lookup(a)
@@ -26,7 +26,7 @@ func TestRegFileInit(t *testing.T) {
 }
 
 func TestRenameAndFree(t *testing.T) {
-	r := newRegFile(40, 40)
+	r := newRegFile(nil, 40, 40)
 	old := r.lookup(3)
 	p, prev := r.rename(3)
 	if prev != old {
@@ -53,7 +53,7 @@ func TestRenameAndFree(t *testing.T) {
 }
 
 func TestAllocExhaustion(t *testing.T) {
-	r := newRegFile(34, 34)
+	r := newRegFile(nil, 34, 34)
 	if !r.canAlloc(false) {
 		t.Fatal("should have 2 free int regs")
 	}
@@ -68,7 +68,7 @@ func TestAllocExhaustion(t *testing.T) {
 }
 
 func TestRATCheckpointRestore(t *testing.T) {
-	r := newRegFile(64, 64)
+	r := newRegFile(nil, 64, 64)
 	snap := r.snapshotRAT()
 	r.rename(1)
 	r.rename(2)
@@ -89,7 +89,7 @@ func TestRenameConservation(t *testing.T) {
 		Action uint8 // 0 = rename+commit (free prev), 1 = rename+rollback
 	}
 	f := func(ops []op) bool {
-		r := newRegFile(64, 64)
+		r := newRegFile(nil, 64, 64)
 		for _, o := range ops {
 			a := isa.Reg(o.Arch % isa.NumRegs)
 			if !r.canAlloc(a.IsFp()) {

@@ -9,7 +9,7 @@ import (
 
 func TestFastForwardRequiresEmptyPipeline(t *testing.T) {
 	b, _ := trace.ByName("libquantum")
-	c := New(config.Baseline(), config.OoO, b, 1)
+	c := New(nil, config.Baseline(), config.OoO, b, 1)
 	if _, err := c.Run(5_000); err != nil {
 		t.Fatal(err)
 	}
@@ -21,13 +21,13 @@ func TestFastForwardRequiresEmptyPipeline(t *testing.T) {
 
 func TestFastForwardWarmsCaches(t *testing.T) {
 	b, _ := trace.ByName("x264") // cache-resident working set
-	cold := New(config.Baseline(), config.OoO, b, 5)
+	cold := New(nil, config.Baseline(), config.OoO, b, 5)
 	coldStats, err := cold.Run(30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	warm := New(config.Baseline(), config.OoO, b, 5)
+	warm := New(nil, config.Baseline(), config.OoO, b, 5)
 	if err := warm.FastForward(100_000); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestFastForwardWarmsCaches(t *testing.T) {
 
 func TestRunSampled(t *testing.T) {
 	b, _ := trace.ByName("gems")
-	c := New(config.Baseline(), config.RAR, b, 9)
+	c := New(nil, config.Baseline(), config.RAR, b, 9)
 	st, err := c.RunSampled(4, 50_000, 5_000, 10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRunSampled(t *testing.T) {
 	}
 
 	// Determinism across identical sampled runs.
-	c2 := New(config.Baseline(), config.RAR, b, 9)
+	c2 := New(nil, config.Baseline(), config.RAR, b, 9)
 	st2, err := c2.RunSampled(4, 50_000, 5_000, 10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -75,12 +75,12 @@ func TestRunSampledMatchesContiguousShape(t *testing.T) {
 	// with phase structure alias against the sampling period and are not
 	// a fair comparison.
 	b, _ := trace.ByName("x264")
-	cont := New(config.Baseline(), config.OoO, b, 3)
+	cont := New(nil, config.Baseline(), config.OoO, b, 3)
 	contStats, err := cont.RunWarm(50_000, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samp := New(config.Baseline(), config.OoO, b, 3)
+	samp := New(nil, config.Baseline(), config.OoO, b, 3)
 	sampStats, err := samp.RunSampled(5, 20_000, 10_000, 10_000)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,7 @@
 package core
 
+import "rarsim/internal/reuse"
+
 // sst is the Stalling Slice Table of Precise Runahead Execution: a small
 // PC-indexed table of the instructions that belong to the backward slices
 // of stall-causing loads. During lean runahead, only loads and SST hits
@@ -19,13 +21,20 @@ type sst struct {
 	hits    uint64 //rarlint:survives statistics counter; the SST itself trains across runahead intervals by design
 }
 
-func newSST(size int) *sst {
+// newSST builds an empty table of size entries (rounded down to a power
+// of two), into old's storage when old is non-nil.
+func newSST(old *sst, size int) *sst {
 	// Round down to a power of two for cheap indexing.
 	n := 1
 	for n*2 <= size {
 		n *= 2
 	}
-	return &sst{entries: make([]uint64, n), mask: uint64(n - 1)}
+	s := old
+	if s == nil {
+		s = new(sst)
+	}
+	*s = sst{entries: reuse.Zeroed(s.entries, n), mask: uint64(n - 1)}
+	return s
 }
 
 // sstIndex mixes high PC bits in so kernels at 1 MiB-aligned bases do not
@@ -57,13 +66,20 @@ type producers struct {
 	mask    uint64
 }
 
-func newProducers(logSize int) *producers {
+// newProducers builds an empty 2^logSize-entry table, into old's storage
+// when old is non-nil.
+func newProducers(old *producers, logSize int) *producers {
 	n := 1 << logSize
-	return &producers{
-		tags:    make([]uint64, n),
-		sources: make([][2]uint64, n),
+	p := old
+	if p == nil {
+		p = new(producers)
+	}
+	*p = producers{
+		tags:    reuse.Zeroed(p.tags, n),
+		sources: reuse.Zeroed(p.sources, n),
 		mask:    uint64(n - 1),
 	}
+	return p
 }
 
 func (p *producers) record(pc, src1PC, src2PC uint64) {

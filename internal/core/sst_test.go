@@ -3,7 +3,7 @@ package core
 import "testing"
 
 func TestSSTInsertContains(t *testing.T) {
-	s := newSST(128)
+	s := newSST(nil, 128)
 	if s.contains(0x1000) {
 		t.Error("empty SST must miss")
 	}
@@ -18,14 +18,14 @@ func TestSSTInsertContains(t *testing.T) {
 }
 
 func TestSSTSizeRounding(t *testing.T) {
-	s := newSST(100) // rounds down to 64
+	s := newSST(nil, 100) // rounds down to 64
 	if len(s.entries) != 64 {
 		t.Errorf("size = %d, want 64", len(s.entries))
 	}
 }
 
 func TestProducers(t *testing.T) {
-	p := newProducers(8)
+	p := newProducers(nil, 8)
 	p.record(0x100, 0x80, 0x90)
 	srcs, ok := p.lookup(0x100)
 	if !ok || srcs != [2]uint64{0x80, 0x90} {
@@ -51,8 +51,8 @@ func TestProducers(t *testing.T) {
 }
 
 func TestTrainSliceWalk(t *testing.T) {
-	s := newSST(128)
-	p := newProducers(10)
+	s := newSST(nil, 128)
+	p := newProducers(nil, 10)
 	// Build a chain: 0x500 <- 0x400 <- 0x300 <- 0x200 <- 0x100.
 	p.record(0x500, 0x400, 0)
 	p.record(0x400, 0x300, 0)
@@ -72,8 +72,8 @@ func TestTrainSliceWalk(t *testing.T) {
 }
 
 func TestTrainSliceWidthLimit(t *testing.T) {
-	s := newSST(128)
-	p := newProducers(10)
+	s := newSST(nil, 128)
+	p := newProducers(nil, 10)
 	// A load with a wide fan-in tree.
 	p.record(0x1000, 0x900, 0x910)
 	p.record(0x900, 0x800, 0x810)
@@ -91,8 +91,8 @@ func TestTrainSliceWidthLimit(t *testing.T) {
 }
 
 func TestTrainSliceCycle(t *testing.T) {
-	s := newSST(128)
-	p := newProducers(10)
+	s := newSST(nil, 128)
+	p := newProducers(nil, 10)
 	// Dependence "cycle" through stale producer info must terminate.
 	p.record(0x100, 0x200, 0)
 	p.record(0x200, 0x100, 0)

@@ -37,8 +37,14 @@ type streamBuf struct {
 // streamRefillBlock is the default batched-refill block size.
 const streamRefillBlock = 64
 
-func newStreamBuf(gen trace.Source) *streamBuf {
-	s := &streamBuf{gen: gen, refill: streamRefillBlock}
+// newStreamBuf builds an empty buffer over gen. A non-nil old lends its
+// buffer's backing array, which already has its high-water capacity.
+func newStreamBuf(old *streamBuf, gen trace.Source) *streamBuf {
+	s := old
+	if s == nil {
+		s = new(streamBuf)
+	}
+	*s = streamBuf{gen: gen, buf: s.buf[:0], refill: streamRefillBlock}
 	if b, ok := gen.(trace.BlockSource); ok {
 		s.blk = b
 	}

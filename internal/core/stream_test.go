@@ -15,7 +15,7 @@ func testGen() *trace.Generator {
 }
 
 func TestStreamBufSequential(t *testing.T) {
-	s := newStreamBuf(testGen())
+	s := newStreamBuf(nil, testGen())
 	var pcs []uint64
 	for i := uint64(0); i < 100; i++ {
 		in, idx := s.next()
@@ -38,7 +38,7 @@ func TestStreamBufSequential(t *testing.T) {
 }
 
 func TestStreamBufPeek(t *testing.T) {
-	s := newStreamBuf(testGen())
+	s := newStreamBuf(nil, testGen())
 	pc := s.peek().PC
 	in, _ := s.next()
 	if in.PC != pc {
@@ -47,7 +47,7 @@ func TestStreamBufPeek(t *testing.T) {
 }
 
 func TestStreamBufRelease(t *testing.T) {
-	s := newStreamBuf(testGen())
+	s := newStreamBuf(nil, testGen())
 	for i := 0; i < 3000; i++ {
 		s.next()
 	}
@@ -64,7 +64,7 @@ func TestStreamBufRelease(t *testing.T) {
 }
 
 func TestStreamBufPanics(t *testing.T) {
-	s := newStreamBuf(testGen())
+	s := newStreamBuf(nil, testGen())
 	for i := 0; i < 3000; i++ {
 		s.next()
 	}

@@ -100,6 +100,9 @@ func (u *uop) isBranch() bool { return u.inst.IsBranch() }
 // uopPool recycles uop records to keep allocation off the hot path.
 type uopPool struct {
 	free []*uop
+	// all lists every record the pool has allocated, so that reclaim can
+	// recover the records still in flight when a run ends.
+	all []*uop
 }
 
 func (p *uopPool) get() *uop {
@@ -110,7 +113,16 @@ func (p *uopPool) get() *uop {
 		return u
 	}
 	//rarlint:allow hotalloc pool warm-up only; steady state recycles from free
-	return &uop{}
+	u := &uop{}
+	p.all = append(p.all, u)
+	return u
+}
+
+// reclaim returns the pool for a core built into this one's storage
+// after its run: once the run is over no record is in flight any more,
+// so every record allocated so far starts on the free list.
+func (p *uopPool) reclaim() uopPool {
+	return uopPool{free: append(p.free[:0], p.all...), all: p.all}
 }
 
 // reset clears a recycled uop field by field instead of `*u = uop{}`: the

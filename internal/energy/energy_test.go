@@ -15,7 +15,7 @@ func runStats(t *testing.T, scheme config.Scheme, benchName string) core.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.New(config.Baseline(), scheme, b, 42).RunWarm(20_000, 80_000)
+	st, err := core.New(nil, config.Baseline(), scheme, b, 42).RunWarm(20_000, 80_000)
 	if err != nil {
 		t.Fatal(err)
 	}

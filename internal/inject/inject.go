@@ -101,7 +101,7 @@ func Run(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, camp Camp
 	}
 
 	// Pass 1: learn the measured region's cycle span.
-	probe := core.New(cfg, scheme, bench, camp.Seed)
+	probe := core.New(nil, cfg, scheme, bench, camp.Seed)
 	warmStats, err := probe.RunWarm(camp.Warmup, camp.Instructions)
 	if err != nil {
 		return Result{}, fmt.Errorf("inject: probe run: %w", err)
@@ -134,7 +134,7 @@ func Run(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, camp Camp
 	}
 
 	// Pass 2: the same deterministic run, carrying the strikes.
-	c := core.New(cfg, scheme, bench, camp.Seed)
+	c := core.New(nil, cfg, scheme, bench, camp.Seed)
 	c.InjectSamples(samples)
 	st, err := c.RunWarm(camp.Warmup, camp.Instructions)
 	if err != nil {

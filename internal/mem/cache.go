@@ -12,6 +12,8 @@
 // line naturally merge with the outstanding fill.
 package mem
 
+import "rarsim/internal/reuse"
+
 // LineSize is the cache line size in bytes at every level.
 const LineSize = 64
 
@@ -20,13 +22,25 @@ const lineShift = 6
 // LineAddr returns the line-aligned address of addr.
 func LineAddr(addr uint64) uint64 { return addr &^ (LineSize - 1) }
 
+// cacheLine is one way's tag state. key packs the line tag (addr>>6, at
+// most 58 bits) with the valid and dirty flags, tag<<2|dirty<<1|valid,
+// which keeps a line at 24 bytes where separate flag fields padded it to
+// 32: the tag arrays are most of a simulated core's memory.
 type cacheLine struct {
-	tag     uint64
+	key     uint64
 	readyAt uint64 // cycle the fill completes; 0 for lines present "forever"
 	lastUse uint64 // LRU timestamp
-	valid   bool
-	dirty   bool
 }
+
+// cacheLine.key flag bits.
+const (
+	lineValid = 1 << iota
+	lineDirty
+)
+
+// lineKey is the key of a valid, clean line holding addr. A line holds
+// addr exactly when its key, dirty bit masked off, equals lineKey(addr).
+func lineKey(addr uint64) uint64 { return addr>>lineShift<<2 | lineValid }
 
 // Cache is one set-associative, write-back, write-allocate cache level.
 type Cache struct {
@@ -45,17 +59,29 @@ type Cache struct {
 // access latency (cycles). sizeBytes must be a multiple of ways*LineSize
 // and the resulting set count must be a power of two.
 func NewCache(name string, sizeBytes, ways int, latency uint64) *Cache {
+	return reuseCache(nil, name, sizeBytes, ways, latency)
+}
+
+// reuseCache is NewCache rebuilt into old, a cache whose run has
+// finished: every field is reset and the tag array is re-zeroed in place
+// when it is large enough. A nil old builds a fresh cache.
+func reuseCache(old *Cache, name string, sizeBytes, ways int, latency uint64) *Cache {
 	sets := sizeBytes / (ways * LineSize)
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("mem: " + name + ": set count must be a power of two")
 	}
-	return &Cache{
+	c := old
+	if c == nil {
+		c = new(Cache)
+	}
+	*c = Cache{
 		name:    name,
 		ways:    ways,
 		setMask: uint64(sets - 1),
 		latency: latency,
-		lines:   make([]cacheLine, sets*ways),
+		lines:   reuse.Zeroed(c.lines, sets*ways),
 	}
+	return c
 }
 
 // Name returns the cache's name ("L1D", "L2", ...).
@@ -74,14 +100,14 @@ func (c *Cache) set(addr uint64) []cacheLine {
 // flight) and refreshes LRU. markDirty sets the dirty bit on a hit.
 func (c *Cache) Lookup(addr, now uint64, markDirty bool) (availAt uint64, hit bool) {
 	c.accesses++
-	tag := addr >> lineShift
+	key := lineKey(addr)
 	set := c.set(addr)
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == tag {
+		if l.key&^lineDirty == key {
 			l.lastUse = now
 			if markDirty {
-				l.dirty = true
+				l.key |= lineDirty
 			}
 			avail := now + c.latency
 			if l.readyAt > avail {
@@ -97,10 +123,10 @@ func (c *Cache) Lookup(addr, now uint64, markDirty bool) (availAt uint64, hit bo
 // Contains reports whether the line holding addr is present, without
 // touching LRU or stats.
 func (c *Cache) Contains(addr uint64) bool {
-	tag := addr >> lineShift
-	for i := range c.set(addr) {
-		l := &c.set(addr)[i]
-		if l.valid && l.tag == tag {
+	key := lineKey(addr)
+	set := c.set(addr)
+	for i := range set {
+		if set[i].key&^lineDirty == key {
 			return true
 		}
 	}
@@ -111,20 +137,23 @@ func (c *Cache) Contains(addr uint64) bool {
 // cycle, evicting the LRU way. It returns the victim's address and whether
 // the victim was dirty (needs a writeback).
 func (c *Cache) Insert(addr, readyAt, now uint64, dirty bool) (victimAddr uint64, writeback bool) {
-	tag := addr >> lineShift
+	key := lineKey(addr)
+	if dirty {
+		key |= lineDirty
+	}
 	set := c.set(addr)
 	victim := &set[0]
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == tag {
+		if l.key&^lineDirty == key&^lineDirty {
 			// Already present (racing fills merge).
 			if readyAt < l.readyAt {
 				l.readyAt = readyAt
 			}
-			l.dirty = l.dirty || dirty
+			l.key |= key & lineDirty
 			return 0, false
 		}
-		if !l.valid {
+		if l.key&lineValid == 0 {
 			victim = l
 			break
 		}
@@ -132,8 +161,9 @@ func (c *Cache) Insert(addr, readyAt, now uint64, dirty bool) (victimAddr uint64
 			victim = l
 		}
 	}
-	victimAddr, writeback = victim.tag<<lineShift, victim.valid && victim.dirty
-	*victim = cacheLine{tag: tag, readyAt: readyAt, lastUse: now, valid: true, dirty: dirty}
+	victimAddr = victim.key >> 2 << lineShift
+	writeback = victim.key&(lineValid|lineDirty) == lineValid|lineDirty
+	*victim = cacheLine{key: key, readyAt: readyAt, lastUse: now}
 	return victimAddr, writeback
 }
 

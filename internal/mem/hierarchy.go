@@ -106,8 +106,21 @@ type Hierarchy struct {
 }
 
 // NewHierarchy builds a single-core hierarchy from cfg (private LLC).
-func NewHierarchy(cfg Config) *Hierarchy {
-	return NewHierarchyWithShared(cfg, NewSharedLLC(cfg))
+func NewHierarchy(cfg Config) *Hierarchy { return ReuseHierarchy(nil, cfg) }
+
+// ReuseHierarchy is NewHierarchy rebuilt into old, a hierarchy whose run
+// has finished. The result is indistinguishable from a fresh one: every
+// counter and register is reset and the cache tag arrays are re-zeroed in
+// place (reallocated only where cfg needs larger ones). old must have
+// been built by NewHierarchy or ReuseHierarchy: a hierarchy on a shared
+// LLC (NewHierarchyWithShared) would take its co-runners' LLC with it. A
+// nil old builds a fresh hierarchy.
+func ReuseHierarchy(old *Hierarchy, cfg Config) *Hierarchy {
+	var l3 *Cache
+	if old != nil {
+		l3 = old.L3
+	}
+	return reuseHierarchy(old, cfg, reuseSharedLLC(l3, cfg))
 }
 
 // Config returns the hierarchy's configuration.

@@ -1,5 +1,7 @@
 package mem
 
+import "math"
+
 // MSHRs model the miss-status holding registers of a cache level: a small
 // file of outstanding line misses. A second miss to an in-flight line
 // merges with the existing entry; a miss that needs a new entry when the
@@ -8,6 +10,12 @@ package mem
 type MSHRs struct {
 	entries []mshrEntry
 	size    int
+	// live counts the valid entries and minFill is the earliest fillAt
+	// among them (math.MaxUint64 when none is valid). Until the clock
+	// reaches minFill no fill has landed, so reap has nothing to retire
+	// and every valid entry is outstanding: both answer without a scan.
+	live    int
+	minFill uint64
 
 	allocs uint64
 	merges uint64
@@ -23,22 +31,37 @@ type mshrEntry struct {
 
 // NewMSHRs builds a file with the given number of registers.
 func NewMSHRs(size int) *MSHRs {
-	return &MSHRs{entries: make([]mshrEntry, size), size: size}
+	return &MSHRs{entries: make([]mshrEntry, size), size: size, minFill: math.MaxUint64}
 }
 
 // reap retires entries whose fill has completed by cycle now.
 func (m *MSHRs) reap(now uint64) {
-	for i := range m.entries {
-		if m.entries[i].valid && m.entries[i].fillAt <= now {
-			m.entries[i].valid = false
-		}
+	if now < m.minFill {
+		return
 	}
+	live, minFill := 0, uint64(math.MaxUint64)
+	for i := range m.entries {
+		e := &m.entries[i]
+		if !e.valid {
+			continue
+		}
+		if e.fillAt <= now {
+			e.valid = false
+			continue
+		}
+		live++
+		minFill = min(minFill, e.fillAt)
+	}
+	m.live, m.minFill = live, minFill
 }
 
 // Lookup reports whether the line holding addr is already outstanding and,
 // if so, when its fill completes.
 func (m *MSHRs) Lookup(addr, now uint64) (fillAt uint64, merged bool) {
 	m.reap(now)
+	if m.live == 0 {
+		return 0, false
+	}
 	line := LineAddr(addr)
 	for i := range m.entries {
 		if m.entries[i].valid && m.entries[i].line == line {
@@ -57,6 +80,8 @@ func (m *MSHRs) Allocate(addr, now, fillAt uint64) bool {
 	for i := range m.entries {
 		if !m.entries[i].valid {
 			m.entries[i] = mshrEntry{line: line, fillAt: fillAt, valid: true}
+			m.live++
+			m.minFill = min(m.minFill, fillAt)
 			m.allocs++
 			if n := m.Outstanding(now); n > m.peak {
 				m.peak = n
@@ -72,6 +97,9 @@ func (m *MSHRs) Allocate(addr, now, fillAt uint64) bool {
 //
 //rarlint:pure
 func (m *MSHRs) Outstanding(now uint64) int {
+	if now < m.minFill {
+		return m.live
+	}
 	n := 0
 	for i := range m.entries {
 		if m.entries[i].valid && m.entries[i].fillAt > now {

@@ -63,3 +63,87 @@ func TestMSHRPeak(t *testing.T) {
 		t.Errorf("size = %d", m.Size())
 	}
 }
+
+// scanMSHRs is the reference model of MSHRs: no bookkeeping beyond the
+// entries, so every query scans them all.
+type scanMSHRs struct{ entries []mshrEntry }
+
+func (m *scanMSHRs) reap(now uint64) {
+	for i := range m.entries {
+		if m.entries[i].valid && m.entries[i].fillAt <= now {
+			m.entries[i].valid = false
+		}
+	}
+}
+
+func (m *scanMSHRs) lookup(addr, now uint64) (uint64, bool) {
+	m.reap(now)
+	for _, e := range m.entries {
+		if e.valid && e.line == LineAddr(addr) {
+			return e.fillAt, true
+		}
+	}
+	return 0, false
+}
+
+func (m *scanMSHRs) allocate(addr, now, fillAt uint64) bool {
+	m.reap(now)
+	for i := range m.entries {
+		if !m.entries[i].valid {
+			m.entries[i] = mshrEntry{line: LineAddr(addr), fillAt: fillAt, valid: true}
+			return true
+		}
+	}
+	return false
+}
+
+func (m *scanMSHRs) outstanding(now uint64) int {
+	n := 0
+	for _, e := range m.entries {
+		if e.valid && e.fillAt > now {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMSHRTrackingMatchesScan drives the live-count/earliest-fill
+// bookkeeping and the scan-everything reference through the same random
+// access sequence, the way the hierarchy does (lookup, then occupancy,
+// then allocate), and requires identical answers throughout.
+func TestMSHRTrackingMatchesScan(t *testing.T) {
+	const size = 6
+	m := NewMSHRs(size)
+	ref := &scanMSHRs{entries: make([]mshrEntry, size)}
+	rnd := uint64(0x9E3779B97F4A7C15)
+	next := func(n uint64) uint64 {
+		rnd ^= rnd << 13
+		rnd ^= rnd >> 7
+		rnd ^= rnd << 17
+		return rnd % n
+	}
+	var now uint64
+	for step := 0; step < 20_000; step++ {
+		now += next(4) // several accesses may share a cycle
+		addr := next(16) << 6
+		fill, merged := m.Lookup(addr, now)
+		rfill, rmerged := ref.lookup(addr, now)
+		if fill != rfill || merged != rmerged {
+			t.Fatalf("step %d: Lookup = %d,%v, reference %d,%v", step, fill, merged, rfill, rmerged)
+		}
+		// Occupancy is also asked about earlier and later cycles than the
+		// last reap, which the bookkeeping must answer exactly too.
+		for _, at := range []uint64{now, now + next(200), now - min(now, next(3))} {
+			if got, want := m.Outstanding(at), ref.outstanding(at); got != want {
+				t.Fatalf("step %d: Outstanding(%d) = %d, reference %d", step, at, got, want)
+			}
+		}
+		if merged {
+			continue
+		}
+		fillAt := now + 1 + next(300)
+		if got, want := m.Allocate(addr, now, fillAt), ref.allocate(addr, now, fillAt); got != want {
+			t.Fatalf("step %d: Allocate = %v, reference %v", step, got, want)
+		}
+	}
+}

@@ -55,7 +55,7 @@ func New(cfg config.Core, loads []Workload, seed uint64) (*System, error) {
 	for i, w := range loads {
 		gen := trace.New(w.Bench, seed+uint64(i)*0x9E37)
 		h := mem.NewHierarchyWithShared(cfg.Mem, shared)
-		s.cores = append(s.cores, core.NewWithHierarchy(cfg, w.Scheme, w.Bench.Name, gen, h))
+		s.cores = append(s.cores, core.NewWithHierarchy(nil, cfg, w.Scheme, w.Bench.Name, gen, h))
 	}
 	return s, nil
 }

@@ -242,7 +242,7 @@ func TestChipWatchdogFrozenCoRunner(t *testing.T) {
 	shared := mem.NewSharedLLC(healthyCfg.Mem)
 	mk := func(cfg config.Core, seed uint64) *core.Core {
 		h := mem.NewHierarchyWithShared(cfg.Mem, shared)
-		return core.NewWithHierarchy(cfg, config.OoO, b.Name, trace.New(b, seed), h)
+		return core.NewWithHierarchy(nil, cfg, config.OoO, b.Name, trace.New(b, seed), h)
 	}
 	healthy := mk(healthyCfg, 42)
 	frozen := mk(frozenCfg, 43)

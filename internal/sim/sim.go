@@ -6,6 +6,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"rarsim/internal/ace"
 	"rarsim/internal/config"
@@ -48,9 +50,55 @@ type ResultSet struct {
 	cells map[Key]core.Stats
 }
 
-// Run simulates one cell and returns its statistics.
+// Run simulates one cell and returns its statistics. The cell is built
+// into a finished core from the free list when one is there, and its
+// core goes back on the list afterwards (see freeCores).
 func Run(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, opt Options) (core.Stats, error) {
-	return core.New(cfg, scheme, bench, opt.Seed).RunWarm(opt.Warmup, opt.Instructions)
+	c := core.New(freeCores.get(), cfg, scheme, bench, opt.Seed)
+	st, err := c.RunWarm(opt.Warmup, opt.Instructions)
+	freeCores.put(c)
+	return st, err
+}
+
+// freeCores holds finished cores for Run to build the next cells into, so
+// that a sweep of short cells reuses a few cores' worth of arrays instead
+// of handing over a megabyte per cell to the garbage collector. Cores are
+// only created while the list is empty, so there are never more than the
+// peak number of concurrently running cells; the GOMAXPROCS bound caps
+// how many of them stay alive idle. A recycled core simulates exactly as
+// a fresh one (core.NewWithHierarchy), so the list never changes results.
+// It is not a sync.Pool because a pool drops its contents at garbage
+// collections, which is exactly what the list exists to avoid.
+var freeCores coreList
+
+// coreList is a mutex-guarded stack of finished cores.
+type coreList struct {
+	mu    sync.Mutex
+	cores []*core.Core //rarlint:guardedby mu
+}
+
+// get pops a finished core, or returns nil (build fresh) when none is idle.
+func (l *coreList) get() *core.Core {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.cores)
+	if n == 0 {
+		return nil
+	}
+	c := l.cores[n-1]
+	l.cores[n-1] = nil
+	l.cores = l.cores[:n-1]
+	return c
+}
+
+// put returns a finished core to the list, or drops it to the garbage
+// collector when GOMAXPROCS cores are already idle.
+func (l *coreList) put(c *core.Core) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.cores) < runtime.GOMAXPROCS(0) {
+		l.cores = append(l.cores, c)
+	}
 }
 
 // RunMatrix simulates every (core, scheme, benchmark) combination in

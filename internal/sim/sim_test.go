@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"rarsim/internal/config"
+	"rarsim/internal/core"
 	"rarsim/internal/trace"
 )
 
@@ -114,5 +117,51 @@ func TestBenchNames(t *testing.T) {
 	names := BenchNames(twoBenches(t))
 	if len(names) != 2 || names[0] != "libquantum" || names[1] != "fotonik" {
 		t.Errorf("names = %v", names)
+	}
+}
+
+// TestConcurrentMatricesShareFreeCores runs two engines' matrices at once,
+// so their workers take finished cores from, and return them to, the one
+// shared free list concurrently. Under -race it checks the list's
+// locking; in any mode every cell must equal the same cell simulated on a
+// fresh core.
+func TestConcurrentMatricesShareFreeCores(t *testing.T) {
+	scaled := config.ScaledCores()
+	cores := []config.Core{scaled[0], scaled[3]}
+	schemes := []config.Scheme{config.OoO, config.RAR}
+	benches := twoBenches(t)
+	opt := Options{Instructions: 4_000, Warmup: 1_000, Seed: 42, Parallelism: 3}
+
+	var wg sync.WaitGroup
+	sets := make([]*ResultSet, 2)
+	errs := make([]error, 2)
+	for i := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sets[i], errs[i] = NewEngine().RunMatrix(cores, schemes, benches, opt)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("matrix %d: %v", i, err)
+		}
+	}
+	for _, cfg := range cores {
+		for _, s := range schemes {
+			for _, b := range benches {
+				fresh, err := core.New(nil, cfg, s, b, opt.Seed).RunWarm(opt.Warmup, opt.Instructions)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fmt.Sprintf("%#v", fresh)
+				for i, rs := range sets {
+					if got := fmt.Sprintf("%#v", rs.MustStats(cfg.Name, s.Name, b.Name)); got != want {
+						t.Errorf("matrix %d, %s/%s/%s: recycled cell differs from a fresh core", i, cfg.Name, s.Name, b.Name)
+					}
+				}
+			}
+		}
 	}
 }

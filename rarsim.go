@@ -203,7 +203,7 @@ func RunSampled(cfg CoreConfig, scheme Scheme, benchName string, samples int, ff
 	if err != nil {
 		return Stats{}, err
 	}
-	c := core.New(cfg, scheme, b, seed)
+	c := core.New(nil, cfg, scheme, b, seed)
 	return c.RunSampled(samples, ff, warmup, measured)
 }
 
@@ -267,7 +267,7 @@ func RunTimeline(cfg CoreConfig, scheme Scheme, benchName string, opt Options, w
 	if err != nil {
 		return nil, 0, err
 	}
-	c := core.New(cfg, scheme, b, opt.Seed)
+	c := core.New(nil, cfg, scheme, b, opt.Seed)
 	c.EnableTimeline(windowCycles)
 	st, err := c.RunWarm(opt.Warmup, opt.Instructions)
 	if err != nil {
