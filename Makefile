@@ -5,17 +5,19 @@
 
 GO ?= go
 
-.PHONY: ci vet lint sarif build test race rarbench-test bench bench-smoke serve-smoke microbench clean
+.PHONY: ci vet lint sarif build test race rarbench-test bench bench-smoke fuzz-smoke serve-smoke microbench clean
 
 ci: vet lint build race rarbench-test
 
 vet:
 	$(GO) vet ./...
 
-# All nine checks (run concurrently after the shared type-check
-# load), with the repo's own _test.go files loaded too;
-# exits 1 on any finding, including malformed or stale directives.
-# vet rides along so `make lint` alone is the full static gate.
+# All nine checks, with the repo's own _test.go files loaded too. One
+# load type-checks the module, indexes its functions and attaches every
+# //rarlint: directive to the declaration it annotates; the checks then
+# run concurrently over it. Exits 1 on any finding, including
+# malformed, unattached or stale directives. vet rides along so
+# `make lint` alone is the full static gate.
 lint: vet
 	$(GO) run ./cmd/rarlint -tests ./...
 
@@ -53,6 +55,14 @@ bench:
 # PR, not just when someone remembers `make race`.
 bench-smoke:
 	$(GO) run -race ./cmd/bench -quick -o -
+
+# fuzz-smoke runs each native fuzz target for 15 s beyond its seeds
+# (the seeds alone run in every `go test`): ReadTrace on hostile trace
+# files and the POST /matrix decoder on hostile bodies. A failing input
+# lands in the package's testdata/fuzz/ for `go test` to replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime=15s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzMatrixRequest$$' -fuzztime=15s ./internal/serve
 
 # serve-smoke stands up rarserved (race-instrumented, ephemeral port),
 # drives it with rarload's hot/cold mix, and fails on any request error,

@@ -12,7 +12,7 @@
 // Usage:
 //
 //	rarlint ./...                 # whole module, all checks (CI mode)
-//	rarlint -check hotalloc       # one check (-checks is an alias)
+//	rarlint -check hotalloc       # one check
 //	rarlint -json ./...           # schema-stable JSON findings for CI
 //	rarlint -tests ./...          # load and analyze _test.go files too
 //	rarlint path/to/module        # another module root (e.g. a corpus)

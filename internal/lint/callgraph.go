@@ -1,17 +1,21 @@
 package lint
 
-// A module-wide function index and static call resolution, shared by the
-// purity and flushreset analyzers. Both reason transitively: purity must
-// catch a mutation added three calls below a //rarlint:pure root, and
-// flushreset must credit a restore performed by a helper of exitRunahead.
-// The index maps every function and method *declared in the module* (test
-// files excluded) to its declaration, so a resolved static callee can be
-// followed into its body; calls that cannot be resolved statically
-// (function values, interface methods) resolve to nil and each analyzer
-// decides how conservative to be about them.
+// The module's function index and its one reachability walk over the
+// static call graph, shared by purity, hotalloc and flushreset. All
+// three reason transitively: purity must catch a mutation added three
+// calls below a //rarlint:pure root, hotalloc an allocation below a
+// //rarlint:hot one, and flushreset must credit a restore performed by
+// a helper of exitRunahead. The index maps every function and method
+// declared with a body in a non-test file to its declaration, so a
+// resolved static callee can be followed into its body; calls that
+// cannot be resolved statically (function values, interface methods)
+// resolve to nil and each analyzer decides how conservative to be
+// about them.
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -22,16 +26,9 @@ type funcInfo struct {
 	decl *ast.FuncDecl
 }
 
-// funcIndex maps declared functions to their bodies across the module.
-type funcIndex struct {
-	mod   *Module
-	decls map[*types.Func]*funcInfo
-}
-
-// buildFuncIndex indexes every function declared in a non-test file of
-// the module.
-func buildFuncIndex(m *Module) *funcIndex {
-	fi := &funcIndex{mod: m, decls: map[*types.Func]*funcInfo{}}
+// indexFuncs builds the module's function index, once per load.
+func (m *Module) indexFuncs() {
+	m.funcs = map[*types.Func]*funcInfo{}
 	for _, p := range m.Pkgs {
 		for _, f := range p.Files {
 			if m.isTestFile(f) {
@@ -43,40 +40,24 @@ func buildFuncIndex(m *Module) *funcIndex {
 					continue
 				}
 				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					fi.decls[fn] = &funcInfo{fn: fn, pkg: p, decl: fd}
+					info := &funcInfo{fn: fn, pkg: p, decl: fd}
+					m.funcs[fn] = info
+					m.funcList = append(m.funcList, info)
 				}
 			}
 		}
 	}
-	return fi
 }
 
-// lookup returns the module declaration of fn, or nil when fn is
-// external, interface-abstract, or declared in a test file.
-func (fi *funcIndex) lookup(fn *types.Func) *funcInfo {
-	if fn == nil {
-		return nil
-	}
-	return fi.decls[fn]
-}
-
-// callees returns, in source order, the statically resolved module
-// functions called (directly, deferred, or via go) anywhere in the body
-// of info's function, including inside function literals.
-func (fi *funcIndex) callees(info *funcInfo) []*funcInfo {
+// funcsWhere returns, in source order, the indexed functions keep
+// selects: the roots of a walk.
+func (m *Module) funcsWhere(keep func(*funcInfo) bool) []*funcInfo {
 	var out []*funcInfo
-	seen := map[*funcInfo]bool{}
-	ast.Inspect(info.decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+	for _, info := range m.funcList {
+		if keep(info) {
+			out = append(out, info)
 		}
-		if callee := fi.lookup(calleeFunc(info.pkg, call)); callee != nil && !seen[callee] {
-			seen[callee] = true
-			out = append(out, callee)
-		}
-		return true
-	})
+	}
 	return out
 }
 
@@ -85,13 +66,11 @@ func (fi *funcIndex) callees(info *funcInfo) []*funcInfo {
 // functions and methods referenced as *values* — a method value stored in
 // a variable or passed as an argument escapes the static call graph, so a
 // conservative closure must assume it runs. The two sets overlap on plain
-// calls; the result is deduplicated.
-func (fi *funcIndex) referencedFuncs(info *funcInfo) []*funcInfo {
+// calls; the walk skips repeats.
+func (m *Module) referencedFuncs(info *funcInfo) []*funcInfo {
 	var out []*funcInfo
-	seen := map[*funcInfo]bool{}
 	add := func(fn *types.Func) {
-		if callee := fi.lookup(fn); callee != nil && !seen[callee] {
-			seen[callee] = true
+		if callee := m.funcs[fn]; callee != nil {
 			out = append(out, callee)
 		}
 	}
@@ -101,7 +80,7 @@ func (fi *funcIndex) referencedFuncs(info *funcInfo) []*funcInfo {
 			add(calleeFunc(info.pkg, n))
 		case *ast.SelectorExpr:
 			// Method values: x.M used as a value (the call case above
-			// resolves x.M() too; dedup makes the overlap harmless).
+			// resolves x.M() too).
 			if s := info.pkg.Info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
 				if fn, ok := s.Obj().(*types.Func); ok {
 					add(fn)
@@ -117,6 +96,85 @@ func (fi *funcIndex) referencedFuncs(info *funcInfo) []*funcInfo {
 		return true
 	})
 	return out
+}
+
+// callWalk is the breadth-first reachability walk over the static call
+// graph. step computes one function's facts and the module functions
+// to follow from it; it runs once per function, however many walks
+// reach that function.
+type callWalk[F any] struct {
+	step func(*funcInfo) (F, []*funcInfo)
+	done map[*funcInfo]walkStep[F]
+}
+
+type walkStep[F any] struct {
+	facts   F
+	callees []*funcInfo
+}
+
+func newCallWalk[F any](step func(*funcInfo) (F, []*funcInfo)) *callWalk[F] {
+	return &callWalk[F]{step: step, done: map[*funcInfo]walkStep[F]{}}
+}
+
+// from visits every function reachable from roots once, roots first and
+// then in BFS discovery order, handing visit the function's facts.
+func (w *callWalk[F]) from(roots []*funcInfo, visit func(*funcInfo, F)) {
+	seen := map[*funcInfo]bool{}
+	var queue []*funcInfo
+	push := func(infos []*funcInfo) {
+		for _, info := range infos {
+			if !seen[info] {
+				seen[info] = true
+				queue = append(queue, info)
+			}
+		}
+	}
+	push(roots)
+	for i := 0; i < len(queue); i++ {
+		info := queue[i]
+		s, ok := w.done[info]
+		if !ok {
+			s.facts, s.callees = w.step(info)
+			w.done[info] = s
+		}
+		visit(info, s.facts)
+		push(s.callees)
+	}
+}
+
+// impureOp is one rejected operation inside a pure or hot closure.
+type impureOp struct {
+	pos  token.Pos
+	what string
+}
+
+// closureCheck runs a walk from every function carrying a verb
+// directive and reports each rejected op once, attributed to the first
+// root (in source order) whose closure reaches it — the engine of purity
+// and hotalloc — plus the verb's unattached directives.
+func closureCheck(m *Module, verb, check string, step func(*funcInfo) ([]impureOp, []*funcInfo)) []Diagnostic {
+	w := newCallWalk(step)
+	reported := map[impureOp]bool{}
+	var diags []Diagnostic
+	roots := m.funcsWhere(func(info *funcInfo) bool { return m.annotation(info.fn, verb) != nil })
+	for _, root := range roots {
+		rootName := funcName(root.pkg, root.fn)
+		w.from([]*funcInfo{root}, func(info *funcInfo, ops []impureOp) {
+			for _, op := range ops {
+				if reported[op] {
+					continue
+				}
+				reported[op] = true
+				msg := fmt.Sprintf("//rarlint:%s function %s %s", verb, rootName, op.what)
+				if info != root {
+					msg = fmt.Sprintf("function %s %s, reachable from //rarlint:%s %s",
+						funcName(info.pkg, info.fn), op.what, verb, rootName)
+				}
+				diags = append(diags, Diagnostic{Pos: m.Fset.Position(op.pos), Check: check, Message: msg})
+			}
+		})
+	}
+	return append(diags, m.unattached(verb, check, attached)...)
 }
 
 // funcName renders a function's name for diagnostics: "Type.Method" for

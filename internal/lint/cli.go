@@ -26,8 +26,7 @@ const (
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rarlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	checks := fs.String("checks", "", "comma-separated checks to run (default: all)")
-	check := fs.String("check", "", "alias for -checks")
+	check := fs.String("check", "", "comma-separated checks to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout (GitHub code scanning)")
 	withTests := fs.Bool("tests", false, "include _test.go files (determinism and errdiscipline cover them)")
@@ -80,14 +79,9 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return ExitError
 	}
 
-	// -check and -checks are spellings of the same filter; merging them
-	// keeps both the documented singular and the historical plural alive
-	// (and `-check a -checks b` just runs both).
 	var names []string
-	for _, list := range []string{*checks, *check} {
-		if list != "" {
-			names = append(names, strings.Split(list, ",")...)
-		}
+	if *check != "" {
+		names = strings.Split(*check, ",")
 	}
 	diags, err := Run(mod, names)
 	if err != nil {

@@ -35,16 +35,8 @@ func TestMainExitCodes(t *testing.T) {
 
 	t.Run("checks-filter", func(t *testing.T) {
 		// The determinism corpus has no errdiscipline findings, so
-		// filtering to errdiscipline comes back clean.
-		var out, errb strings.Builder
-		code := Main([]string{"-checks", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
-		if code != ExitClean {
-			t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", code, ExitClean, out.String(), errb.String())
-		}
-	})
-
-	t.Run("check-alias", func(t *testing.T) {
-		// -check is an alias for -checks; both filter to a subset.
+		// filtering to errdiscipline comes back clean, while filtering
+		// to determinism keeps its findings.
 		var out, errb strings.Builder
 		code := Main([]string{"-check", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
 		if code != ExitClean {
@@ -61,20 +53,9 @@ func TestMainExitCodes(t *testing.T) {
 		}
 	})
 
-	t.Run("check-alias-unknown", func(t *testing.T) {
-		var out, errb strings.Builder
-		code := Main([]string{"-check", "nosuch", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
-		if code != ExitError {
-			t.Fatalf("exit = %d, want %d", code, ExitError)
-		}
-		if !strings.Contains(errb.String(), "unknown check") {
-			t.Errorf("stderr lacks the unknown-check error:\n%s", errb.String())
-		}
-	})
-
 	t.Run("unknown-check", func(t *testing.T) {
 		var out, errb strings.Builder
-		code := Main([]string{"-checks", "nosuch", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
+		code := Main([]string{"-check", "nosuch", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
 		if code != ExitError {
 			t.Fatalf("exit = %d, want %d", code, ExitError)
 		}
@@ -121,7 +102,7 @@ func TestJSONOutput(t *testing.T) {
 
 	t.Run("clean", func(t *testing.T) {
 		var out, errb strings.Builder
-		code := Main([]string{"-json", "-checks", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
+		code := Main([]string{"-json", "-check", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
 		if code != ExitClean {
 			t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, ExitClean, errb.String())
 		}
@@ -210,7 +191,7 @@ func TestSARIFOutput(t *testing.T) {
 
 	t.Run("clean", func(t *testing.T) {
 		var out, errb strings.Builder
-		code := Main([]string{"-sarif", "-checks", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
+		code := Main([]string{"-sarif", "-check", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
 		if code != ExitClean {
 			t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, ExitClean, errb.String())
 		}

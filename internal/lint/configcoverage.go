@@ -19,41 +19,15 @@ package lint
 import (
 	"fmt"
 	"go/types"
-	"sort"
 )
 
 func configCoverage(m *Module) []Diagnostic {
-	audited := map[*types.Var]bool{}
-	var fields []*types.Var
-	owner := map[*types.Var]string{}
-
-	for _, p := range m.Pkgs {
-		if !m.IsConfigPackage(p) {
-			continue
-		}
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || m.isTestPos(tn.Pos()) {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				fv := st.Field(i)
-				audited[fv] = true
-				fields = append(fields, fv)
-				owner[fv] = p.Types.Name() + "." + name
-			}
-		}
-	}
-	if len(audited) == 0 {
+	fields, owner := auditedFields(m, func(p *Package, _ string) bool { return m.IsConfigPackage(p) })
+	if len(fields) == 0 {
 		return nil
 	}
 
-	ff := &fieldFlow{mod: m, audited: audited, countInner: true}
+	ff := &fieldFlow{mod: m, audited: owner, countInner: true}
 	ff.run()
 
 	reads := map[*types.Var]int{}
@@ -75,6 +49,5 @@ func configCoverage(m *Module) []Diagnostic {
 				owner[fv], fv.Name()),
 		})
 	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos.Offset < diags[j].Pos.Offset })
 	return diags
 }

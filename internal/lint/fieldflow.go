@@ -13,7 +13,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // access kinds.
@@ -36,8 +35,9 @@ type fieldUse struct {
 // configcoverage turns it on (any appearance of a knob on a read path
 // means the knob reaches the model).
 type fieldFlow struct {
-	mod        *Module
-	audited    map[*types.Var]bool
+	mod *Module
+	// audited maps each audited field to its "pkg.Type" owner.
+	audited    map[*types.Var]string
 	countInner bool
 	uses       []fieldUse
 
@@ -140,7 +140,7 @@ func (ff *fieldFlow) composite(p *Package, cl *ast.CompositeLit) {
 			continue
 		}
 		obj, ok := p.Info.Uses[key].(*types.Var)
-		if !ok || !obj.IsField() || !ff.audited[obj] {
+		if !ok || !obj.IsField() || ff.audited[obj] == "" {
 			continue
 		}
 		ff.record(obj, accWrite, key.Pos())
@@ -199,7 +199,7 @@ func (ff *fieldFlow) fieldOf(p *Package, sel *ast.SelectorExpr) *types.Var {
 		return nil
 	}
 	fv, ok := s.Obj().(*types.Var)
-	if !ok || !ff.audited[fv] {
+	if !ok || ff.audited[fv] == "" {
 		return nil
 	}
 	return fv
@@ -242,170 +242,57 @@ func allSame(fields []*types.Var, fv *types.Var) bool {
 }
 
 // ---------------------------------------------------------------------
-// Generalized interprocedural field-flow engine.
+// Interprocedural write closures.
 //
 // Where fieldFlow above classifies accesses file by file for the
-// struct-hygiene checks, the flowEngine computes *transitive closures*:
-// starting from a set of seed functions it walks the static call graph
-// (plain calls plus functions and methods referenced as values) and
-// accumulates, with leaf-field attribution, every struct field the
-// closure can write and every struct field whose value it can read.
-// Whole-struct writes (`*u = uop{}`, `c.chk = checkpoint{...}`) expand
-// to every field of the struct, recursively through nested structs and
-// pointers; reads through embedded promotions credit each field along
-// the selection path. flushreset builds on it, diffing two write
-// closures.
+// struct-hygiene checks, flushreset needs *transitive* write sets:
+// starting from seed functions, the call walk follows the static call
+// graph (plain calls plus functions and methods referenced as values)
+// and accumulates, with leaf-field attribution, every struct field the
+// closure can write. Whole-struct writes (`*u = uop{}`,
+// `c.chk = checkpoint{...}`) expand to every field of the struct,
+// recursively through nested structs and pointers.
 
-// flowSite records where a closure first observed an access to a field.
-type flowSite struct {
-	// fn is the rendered name of the function the access occurred in.
-	fn string
-	// pos is the position of the access.
-	pos token.Pos
-}
-
-// flowSet is a transitive field-access closure: each accessed field
-// mapped to the first site the closure walk observed.
-type flowSet map[*types.Var]flowSite
-
-// flowFacts caches one function's local field-flow: leaf-attributed
-// writes, reads, and the module functions its body can transfer control
-// to (including method values — see funcIndex.referencedFuncs).
-type flowFacts struct {
-	writes  []fieldUse
-	reads   []fieldUse
-	callees []*funcInfo
-}
-
-// flowEngine computes transitive per-function field write and read sets
-// over a module's static call graph.
-type flowEngine struct {
-	fi    *funcIndex
-	facts map[*funcInfo]*flowFacts
-}
-
-func newFlowEngine(fi *funcIndex) *flowEngine {
-	return &flowEngine{fi: fi, facts: map[*funcInfo]*flowFacts{}}
-}
-
-// closure walks the call graph from seeds in BFS order and returns the
-// union of every reachable function's write and read sets, each field
-// attributed to the first function observed accessing it, plus the
-// visited functions themselves (seeds first, then discovery order).
-func (fe *flowEngine) closure(seeds []*funcInfo) (writes, reads flowSet, funcs []*funcInfo) {
-	writes, reads = flowSet{}, flowSet{}
-	visited := map[*funcInfo]bool{}
-	queue := append([]*funcInfo(nil), seeds...)
-	for _, s := range seeds {
-		visited[s] = true
-	}
-	for len(queue) > 0 {
-		info := queue[0]
-		queue = queue[1:]
-		funcs = append(funcs, info)
-		ft := fe.facts[info]
-		if ft == nil {
-			ft = computeFlowFacts(fe.fi, info)
-			fe.facts[info] = ft
-		}
-		name := funcName(nil, info.fn)
-		for _, u := range ft.writes {
-			if _, ok := writes[u.field]; !ok {
-				writes[u.field] = flowSite{fn: name, pos: u.pos}
-			}
-		}
-		for _, u := range ft.reads {
-			if _, ok := reads[u.field]; !ok {
-				reads[u.field] = flowSite{fn: name, pos: u.pos}
-			}
-		}
-		for _, callee := range ft.callees {
-			if !visited[callee] {
-				visited[callee] = true
-				queue = append(queue, callee)
-			}
-		}
-	}
-	return writes, reads, funcs
-}
-
-// writeClosure is closure returning only the write set.
-func (fe *flowEngine) writeClosure(seeds []*funcInfo) flowSet {
-	w, _, _ := fe.closure(seeds)
-	return w
-}
-
-// computeFlowFacts scans one function body and classifies every struct
-// field access: assignment and inc/dec targets resolve to their leaf
-// field (with whole-struct expansion), everything else that selects a
-// field is a read, crediting each field along the selection path so
-// embedded promotions count their intermediates.
-func computeFlowFacts(fi *funcIndex, info *funcInfo) *flowFacts {
-	p, fd := info.pkg, info.decl
-	ft := &flowFacts{}
-	// writeLeaves marks the selector node carrying a write target's leaf
-	// field, so the read pass does not also classify it as a read.
-	writeLeaves := map[ast.Node]bool{}
-
-	recordWrite := func(lhs ast.Expr) {
-		fields, leaf := flowWriteTarget(p, lhs)
-		for _, fv := range fields {
-			ft.writes = append(ft.writes, fieldUse{field: fv, kind: accWrite, pos: lhs.Pos()})
-		}
-		if leaf != nil {
-			writeLeaves[leaf] = true
-		}
-	}
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+// flowWrites is the write-closure walk step: the fields one function
+// body writes and every module function it can transfer control to.
+func (m *Module) flowWrites(info *funcInfo) ([]*types.Var, []*funcInfo) {
+	var writes []*types.Var
+	ast.Inspect(info.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if n.Tok == token.DEFINE {
 				return true // new locals; selector targets cannot appear
 			}
 			for _, lhs := range n.Lhs {
-				recordWrite(lhs)
-				if n.Tok != token.ASSIGN {
-					// Op-assigns (+=, -=, ...) read the old value too.
-					if fv, _ := flowLeafField(p, lhs); fv != nil {
-						ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead, pos: lhs.Pos()})
-					}
-				}
+				writes = append(writes, flowWriteTarget(info.pkg, lhs)...)
 			}
 		case *ast.IncDecStmt:
-			recordWrite(n.X)
-			if fv, _ := flowLeafField(p, n.X); fv != nil {
-				ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead, pos: n.X.Pos()})
+			writes = append(writes, flowWriteTarget(info.pkg, n.X)...)
+		}
+		return true
+	})
+	return writes, m.referencedFuncs(info)
+}
+
+// writeClosure maps every field written by a function reachable from
+// seeds to the first function the walk saw writing it.
+func writeClosure(w *callWalk[[]*types.Var], seeds []*funcInfo) map[*types.Var]string {
+	writes := map[*types.Var]string{}
+	w.from(seeds, func(info *funcInfo, fields []*types.Var) {
+		for _, fv := range fields {
+			if _, ok := writes[fv]; !ok {
+				writes[fv] = funcName(nil, info.fn)
 			}
 		}
-		return true
 	})
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || writeLeaves[sel] {
-			return true
-		}
-		s := p.Info.Selections[sel]
-		if s == nil || s.Kind() != types.FieldVal {
-			return true
-		}
-		for _, fv := range selectionFields(s) {
-			ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead, pos: sel.Pos()})
-		}
-		return true
-	})
-
-	ft.callees = fi.referencedFuncs(info)
-	return ft
+	return writes
 }
 
 // flowWriteTarget resolves one assignment target to the struct fields it
-// writes — the leaf field of the selector chain, expanded to every field
-// of the struct when the write replaces a whole struct value — plus the
-// selector node carrying the leaf (nil when the target is no field at
-// all: a plain local or global variable).
-func flowWriteTarget(p *Package, lhs ast.Expr) ([]*types.Var, *ast.SelectorExpr) {
+// writes: the leaf field of the selector chain, expanded to every field
+// of the struct when the write replaces a whole struct value (none when
+// the target is a plain local or global variable).
+func flowWriteTarget(p *Package, lhs ast.Expr) []*types.Var {
 	for {
 		switch e := ast.Unparen(lhs).(type) {
 		case *ast.IndexExpr:
@@ -414,93 +301,63 @@ func flowWriteTarget(p *Package, lhs ast.Expr) ([]*types.Var, *ast.SelectorExpr)
 			// *ptr = v replaces the whole pointee.
 			if tv, ok := p.Info.Types[e.X]; ok {
 				if ptr, ok := tv.Type.Underlying().(*types.Pointer); ok {
-					return structFields(ptr.Elem(), nil, nil), nil
+					return structFields(ptr.Elem(), nil)
 				}
 			}
-			return nil, nil
+			return nil
 		case *ast.SelectorExpr:
 			s := p.Info.Selections[e]
 			if s == nil || s.Kind() != types.FieldVal {
-				return nil, nil
+				return nil
 			}
 			fv, ok := s.Obj().(*types.Var)
 			if !ok {
-				return nil, nil
+				return nil
 			}
-			return structFields(fv.Type(), nil, []*types.Var{fv}), e
+			return structFields(fv.Type(), []*types.Var{fv})
 		default:
-			return nil, nil
+			return nil
 		}
 	}
 }
 
-// flowLeafField resolves lhs to the leaf field it accesses, without
-// whole-struct expansion, or nil.
-func flowLeafField(p *Package, lhs ast.Expr) (*types.Var, *ast.SelectorExpr) {
-	for {
-		switch e := ast.Unparen(lhs).(type) {
-		case *ast.IndexExpr:
-			lhs = e.X
-		case *ast.StarExpr:
-			lhs = e.X
-		case *ast.SelectorExpr:
-			s := p.Info.Selections[e]
-			if s == nil || s.Kind() != types.FieldVal {
-				return nil, nil
-			}
-			if fv, ok := s.Obj().(*types.Var); ok {
-				return fv, e
-			}
-			return nil, nil
-		default:
-			return nil, nil
+// structFields appends every field of t (recursively, through struct
+// and pointer-to-struct types) to out.
+func structFields(t types.Type, out []*types.Var) []*types.Var {
+	seen := map[types.Type]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		if ptr, ok := t.Underlying().(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			out = append(out, st.Field(i))
+			walk(st.Field(i).Type())
 		}
 	}
+	walk(t)
+	return out
 }
 
-// seedFuncs collects, in deterministic source order, every module
-// function whose name is in names, along with the set of packages the
-// seeds were found in. Names absent from the module are simply not
-// seeds.
-func seedFuncs(m *Module, fi *funcIndex, names map[string]bool) ([]*funcInfo, map[*Package]bool) {
-	var seeds []*funcInfo
-	pkgs := map[*Package]bool{}
-	for _, p := range m.Pkgs {
-		for _, f := range p.Files {
-			if m.isTestFile(f) {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !names[fd.Name.Name] {
-					continue
-				}
-				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if info := fi.lookup(fn); info != nil {
-					seeds = append(seeds, info)
-					pkgs[p] = true
-				}
-			}
-		}
-	}
-	return seeds, pkgs
-}
-
-// auditedFields returns every field of every named struct declared in
-// one of the given packages, sorted by file and offset (so a directive
-// trailing one field is claimed by it before the next field looks
-// upward), plus each field's "pkg.Type" owner for diagnostics.
-func auditedFields(m *Module, pkgs map[*Package]bool) ([]*types.Var, map[*types.Var]string) {
+// auditedFields returns every field of every named struct declared in a
+// non-test file whose package and type name keep selects, plus each
+// field's "pkg.Type" owner for diagnostics.
+func auditedFields(m *Module, keep func(p *Package, typeName string) bool) ([]*types.Var, map[*types.Var]string) {
 	owner := map[*types.Var]string{}
 	var fields []*types.Var
 	for _, p := range m.Pkgs {
-		if !pkgs[p] {
-			continue
-		}
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || m.isTestPos(tn.Pos()) {
+			if !ok || tn.IsAlias() || m.isTestPos(tn.Pos()) || !keep(p, name) {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -514,33 +371,5 @@ func auditedFields(m *Module, pkgs map[*Package]bool) ([]*types.Var, map[*types.
 			}
 		}
 	}
-	sort.Slice(fields, func(i, j int) bool {
-		pi, pj := m.Fset.Position(fields[i].Pos()), m.Fset.Position(fields[j].Pos())
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		return pi.Offset < pj.Offset
-	})
 	return fields, owner
-}
-
-// selectionFields returns every struct field along a field selection's
-// path, outermost first: for `x.F` promoted through embedded E it yields
-// [E, F], so reads through embeddings credit their intermediates.
-func selectionFields(s *types.Selection) []*types.Var {
-	t := s.Recv()
-	var out []*types.Var
-	for _, idx := range s.Index() {
-		if ptr, ok := t.Underlying().(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok || idx >= st.NumFields() {
-			break
-		}
-		fv := st.Field(idx)
-		out = append(out, fv)
-		t = fv.Type()
-	}
-	return out
 }

@@ -48,96 +48,17 @@ var hotExternalPkgs = map[string]bool{
 	"sync/atomic": true,
 }
 
-// allocFacts caches the per-function analysis: allocation sites and the
-// module callees to follow (barrier-allowed call sites excluded).
-type allocFacts struct {
-	ops     []impureOp
-	callees []*funcInfo
-}
-
 func hotalloc(m *Module) []Diagnostic {
-	fi := buildFuncIndex(m)
-
-	var roots []*funcInfo
-	for _, p := range m.Pkgs {
-		for _, f := range p.Files {
-			if m.isTestFile(f) {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				funcLine := m.Fset.Position(fd.Pos()).Line
-				first := funcLine - 1
-				if fd.Doc != nil {
-					first = m.Fset.Position(fd.Doc.Pos()).Line
-				}
-				if !m.hotAt(m.fileName(f), first, funcLine) {
-					continue
-				}
-				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if info := fi.lookup(fn); info != nil {
-					roots = append(roots, info)
-				}
-			}
-		}
-	}
-
-	var diags []Diagnostic
-	facts := map[*funcInfo]*allocFacts{}
-	reported := map[impureOp]bool{}
-	for _, root := range roots {
-		rootName := funcName(root.pkg, root.fn)
-		visited := map[*funcInfo]bool{root: true}
-		queue := []*funcInfo{root}
-		for len(queue) > 0 {
-			info := queue[0]
-			queue = queue[1:]
-			ft := facts[info]
-			if ft == nil {
-				ft = computeAllocFacts(m, fi, info)
-				facts[info] = ft
-			}
-			for _, op := range ft.ops {
-				if reported[op] {
-					continue
-				}
-				reported[op] = true
-				msg := fmt.Sprintf("//rarlint:hot function %s %s", rootName, op.what)
-				if info != root {
-					msg = fmt.Sprintf("function %s %s, reachable from //rarlint:hot %s",
-						funcName(info.pkg, info.fn), op.what, rootName)
-				}
-				diags = append(diags, Diagnostic{
-					Pos: m.Fset.Position(op.pos), Check: "hotalloc", Message: msg,
-				})
-			}
-			for _, callee := range ft.callees {
-				if !visited[callee] {
-					visited[callee] = true
-					queue = append(queue, callee)
-				}
-			}
-		}
-	}
-
-	diags = append(diags, unattachedDirectives(m, verbHot, "hotalloc", m.hots,
-		func(d *hotDecl) bool { return d.used })...)
-	return diags
+	return closureCheck(m, verbHot, "hotalloc", m.allocFacts)
 }
 
-// computeAllocFacts scans one function body for allocating constructs
-// and the module callees to follow.
-func computeAllocFacts(m *Module, fi *funcIndex, info *funcInfo) *allocFacts {
+// allocFacts scans one function body for allocating constructs and the
+// module callees to follow (barrier-allowed call sites excluded).
+func (m *Module) allocFacts(info *funcInfo) (ops []impureOp, callees []*funcInfo) {
 	p, fd := info.pkg, info.decl
-	filename := m.Fset.Position(fd.Pos()).Filename
-	ft := &allocFacts{}
 	alloc := func(pos token.Pos, format string, args ...any) {
-		ft.ops = append(ft.ops, impureOp{pos: pos, what: fmt.Sprintf(format, args...)})
+		ops = append(ops, impureOp{pos: pos, what: fmt.Sprintf(format, args...)})
 	}
-	calleeSeen := map[*funcInfo]bool{}
 
 	// Local slices declared with no initializer have nil backing storage:
 	// even a self-append to them allocates on every call.
@@ -197,11 +118,13 @@ func computeAllocFacts(m *Module, fi *funcIndex, info *funcInfo) *allocFacts {
 				}
 			}
 		case *ast.CallExpr:
-			classifyAllocCall(m, fi, info, filename, n, handledAppend, alloc, calleeSeen, &ft.callees)
+			if callee := classifyAllocCall(m, info, n, handledAppend, alloc); callee != nil {
+				callees = append(callees, callee)
+			}
 		}
 		return true
 	})
-	return ft
+	return ops, callees
 }
 
 // checkAllocAssign handles the assignment-shaped rules: self-append
@@ -263,15 +186,15 @@ func checkAllocAssign(p *Package, fd *ast.FuncDecl, n *ast.AssignStmt,
 	}
 }
 
-// classifyAllocCall decides what a call means for allocation freedom.
-func classifyAllocCall(m *Module, fi *funcIndex, info *funcInfo, filename string,
-	call *ast.CallExpr, handledAppend map[*ast.CallExpr]bool,
-	alloc func(token.Pos, string, ...any), seen map[*funcInfo]bool, callees *[]*funcInfo) {
+// classifyAllocCall decides what a call means for allocation freedom,
+// returning the module callee to follow, if any.
+func classifyAllocCall(m *Module, info *funcInfo, call *ast.CallExpr,
+	handledAppend map[*ast.CallExpr]bool, alloc func(token.Pos, string, ...any)) *funcInfo {
 	p := info.pkg
 
 	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() {
 		checkAllocConversion(p, call, tv.Type, alloc)
-		return
+		return nil
 	}
 
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
@@ -300,7 +223,7 @@ func classifyAllocCall(m *Module, fi *funcIndex, info *funcInfo, filename string
 			default: // print, println, unsafe helpers, ...
 				alloc(call.Pos(), "calls builtin %s", id.Name)
 			}
-			return
+			return nil
 		}
 	}
 
@@ -308,28 +231,21 @@ func classifyAllocCall(m *Module, fi *funcIndex, info *funcInfo, filename string
 	if fn == nil {
 		alloc(call.Pos(), "calls %s, a function value (cannot prove allocation-free)",
 			types.ExprString(call.Fun))
-		return
+		return nil
 	}
-	if callee := fi.lookup(fn); callee != nil {
-		line := m.Fset.Position(call.Pos()).Line
-		if m.allowBarrier("hotalloc", filename, line) {
-			return // audited cold path: cut out of the hot closure
+	if callee := m.funcs[fn]; callee != nil {
+		if m.allowBarrier(call.Pos()) {
+			return nil // audited cold path: cut out of the hot closure
 		}
-		if !seen[callee] {
-			seen[callee] = true
-			*callees = append(*callees, callee)
-		}
-		return
+		return callee
 	}
 	name := funcName(p, fn)
-	if fn.Pkg() != nil {
-		if hotExternalPkgs[fn.Pkg().Path()] {
-			return
-		}
+	if fn.Pkg() == nil {
+		alloc(call.Pos(), "calls interface method %s (cannot prove allocation-free)", name)
+	} else if !hotExternalPkgs[fn.Pkg().Path()] {
 		alloc(call.Pos(), "calls %s, which is outside the hotalloc whitelist", name)
-		return
 	}
-	alloc(call.Pos(), "calls interface method %s (cannot prove allocation-free)", name)
+	return nil
 }
 
 // checkAllocConversion flags conversions that copy their operand into a
@@ -397,16 +313,11 @@ func boxAllocates(t types.Type) bool {
 // allowBarrier marks a hotalloc allow on the call line (or the line
 // above) as used and reports whether one exists. Barrier allows gate
 // call-graph traversal rather than suppressing a diagnostic, so they are
-// consumed here to keep staleness accounting honest.
-func (m *Module) allowBarrier(check, filename string, line int) bool {
-	hit := false
-	for _, l := range []int{line, line - 1} {
-		for _, a := range m.allows[filename][l] {
-			if a.check == check && a.reason != "" {
-				a.used = true
-				hit = true
-			}
-		}
-	}
-	return hit
+// consumed here to keep staleness accounting honest. This is the one
+// directive mutation made while the analyzers run concurrently.
+func (m *Module) allowBarrier(call token.Pos) bool {
+	pos := m.Fset.Position(call)
+	here := m.allowed("hotalloc", pos.Filename, pos.Line)
+	above := m.allowed("hotalloc", pos.Filename, pos.Line-1)
+	return here || above
 }

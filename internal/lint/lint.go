@@ -24,7 +24,9 @@
 //	//rarlint:locked <mu>                a method called only with mu held
 //	//rarlint:hot                        root the zero-alloc hot-loop closure
 //
-// each attached to the governed line or the line directly above it.
+// An allow governs its own line and the one below; every other
+// directive is attached at load time to the function or struct field it
+// annotates (see directives.go).
 // Malformed and stale directives are themselves findings. rarlint
 // complements the *runtime* invariant auditor in internal/core/audit.go:
 // the auditor checks microarchitectural state while a simulation runs,
@@ -56,7 +58,7 @@ func (d Diagnostic) String() string {
 
 // An Analyzer is one named check over a loaded module.
 type Analyzer struct {
-	// Name is the check name used in -checks and in allow directives.
+	// Name is the check name used in -check and in allow directives.
 	Name string
 	// Doc is a one-line description.
 	Doc string
@@ -142,14 +144,13 @@ func Run(m *Module, checks []string) ([]Diagnostic, error) {
 
 	// The analyzers are independent and run concurrently: each consumes
 	// the shared read-only typed ASTs (token.FileSet is internally
-	// synchronized) and each mutable directive kind is claimed by exactly
-	// one analyzer (pures by purity, survives by flushreset, units by
-	// units, guardeds/lockeds by lockcheck, hots and allow-barriers by
-	// hotalloc). Suppression and
-	// staleness accounting stay sequential, after the barrier. Findings
-	// are collected per-analyzer and ordering is restored by the final
-	// position sort, so the output is deterministic regardless of
-	// scheduling.
+	// synchronized), the function index, and the directive attachments
+	// the load-time pass made, which they only read. The single mutation
+	// during runs is hotalloc marking its barrier allows used; no other
+	// analyzer touches allows. Suppression and staleness accounting stay
+	// sequential, after the barrier. Findings are collected per-analyzer
+	// and ordering is restored by the final position sort, so the output
+	// is deterministic regardless of scheduling.
 	all := Analyzers()
 	results := make([][]Diagnostic, len(all))
 	var wg sync.WaitGroup
@@ -172,7 +173,7 @@ func Run(m *Module, checks []string) ([]Diagnostic, error) {
 	diags = m.suppress(diags)
 	if len(enabled) == 0 || len(enabled) == len(all) {
 		// Staleness is decidable only when every check ran: under a
-		// -checks filter an allow for a disabled check is dormant, not
+		// -check filter an allow for a disabled check is dormant, not
 		// stale.
 		diags = append(diags, m.staleAllows()...)
 	}

@@ -49,17 +49,17 @@ type Module struct {
 	// Pkgs lists every package, sorted by import path.
 	Pkgs []*Package
 
-	// Directive indexes: filename -> line -> directives found in that
-	// file's comments (see suppress.go).
-	allows   map[string]map[int][]*allow
-	pures    map[string]map[int][]*pureDecl
-	survives map[string]map[int][]*survives
-	units    map[string]map[int][]*unitDecl
-	guardeds map[string]map[int][]*guardedDecl
-	lockeds  map[string]map[int][]*lockedDecl
-	hots     map[string]map[int][]*hotDecl
-	// badVerbs records comments with an unknown //rarlint: verb.
-	badVerbs []Diagnostic
+	// directives holds every //rarlint: comment in the loaded files,
+	// dirAt indexes them by filename and line, and annots maps each
+	// (declaration, verb) pair to the directive attached to it
+	// (directives.go).
+	directives []*directive
+	dirAt      map[string]map[int]*directive
+	annots     map[annotKey]*directive
+	// funcs indexes the functions declared with a body in non-test
+	// files, funcList in source order (callgraph.go).
+	funcs    map[*types.Func]*funcInfo
+	funcList []*funcInfo
 
 	// testFiles records the _test.go files loaded in tests mode.
 	testFiles map[string]bool
@@ -149,6 +149,7 @@ func loadModule(dir string, tests bool) (*Module, error) {
 		Path:      modPath,
 		Dir:       dir,
 		Fset:      token.NewFileSet(),
+		dirAt:     map[string]map[int]*directive{},
 		testFiles: map[string]bool{},
 	}
 	l := &loader{
@@ -173,6 +174,8 @@ func loadModule(dir string, tests bool) (*Module, error) {
 		m.Pkgs = append(m.Pkgs, p)
 	}
 	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Path < m.Pkgs[j].Path })
+	m.attach()
+	m.indexFuncs()
 	return m, nil
 }
 
@@ -308,7 +311,7 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.mod.collectDirectives(fname, f)
+		l.mod.parseDirectives(fname, f)
 		if isTest {
 			l.mod.testFiles[fname] = true
 			if strings.HasSuffix(f.Name.Name, "_test") {

@@ -60,17 +60,19 @@ type guardInfo struct {
 // lockAnalysis holds the module-wide annotation maps for one run.
 type lockAnalysis struct {
 	m      *Module
-	fi     *funcIndex
 	guards map[*types.Var]*guardInfo
 	locked map[*types.Func]string // //rarlint:locked contracts: method -> mutex field
+	// claimed records the guardedby and locked directives attached to
+	// a declaration lockcheck audits.
+	claimed map[*directive]bool
 }
 
 func lockcheck(m *Module) []Diagnostic {
 	a := &lockAnalysis{
-		m:      m,
-		fi:     buildFuncIndex(m),
-		guards: map[*types.Var]*guardInfo{},
-		locked: map[*types.Func]string{},
+		m:       m,
+		guards:  map[*types.Var]*guardInfo{},
+		locked:  map[*types.Func]string{},
+		claimed: map[*directive]bool{},
 	}
 	var diags []Diagnostic
 	report := func(pos token.Pos, format string, args ...any) {
@@ -95,21 +97,31 @@ func lockcheck(m *Module) []Diagnostic {
 		}
 	}
 
-	diags = append(diags, unattachedDirectives(m, verbGuardedBy, "lockcheck", m.guardeds,
-		func(d *guardedDecl) bool { return d.used })...)
-	diags = append(diags, unattachedDirectives(m, verbLocked, "lockcheck", m.lockeds,
-		func(d *lockedDecl) bool { return d.used })...)
-	return diags
+	claimed := func(d *directive) bool { return a.claimed[d] }
+	diags = append(diags, m.unattached(verbGuardedBy, "lockcheck", claimed)...)
+	return append(diags, m.unattached(verbLocked, "lockcheck", claimed)...)
 }
 
-// collect attaches guardedby directives to struct fields (same line,
-// else the line above, consumed in line order like units) and locked
-// contracts to method declarations, validates both against the actual
-// struct shapes, and enforces completeness: a struct with a mutex field
-// must annotate every other field.
+// annotation looks up the directive of verb attached to obj, recording
+// it as claimed; a malformed one yields "".
+func (a *lockAnalysis) annotation(obj types.Object, verb string) string {
+	d := a.m.annotation(obj, verb)
+	if d == nil {
+		return ""
+	}
+	a.claimed[d] = true
+	if d.bad != "" {
+		return ""
+	}
+	return d.arg()
+}
+
+// collect reads the guardedby annotations of named struct type fields
+// and the locked contracts of methods, validates both against the
+// actual struct shapes, and enforces completeness: a struct with a
+// mutex field must annotate every other field.
 func (a *lockAnalysis) collect(report func(token.Pos, string, ...any)) {
 	type fieldDecl struct {
-		line    int
 		pos     token.Pos
 		names   []string
 		vars    []*types.Var
@@ -125,7 +137,6 @@ func (a *lockAnalysis) collect(report func(token.Pos, string, ...any)) {
 			if a.m.isTestFile(f) {
 				continue
 			}
-			filename := a.m.fileName(f)
 			var structs []structDecl
 			ast.Inspect(f, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
@@ -138,10 +149,7 @@ func (a *lockAnalysis) collect(report func(token.Pos, string, ...any)) {
 				}
 				sd := structDecl{name: ts.Name.Name}
 				for _, fld := range st.Fields.List {
-					d := fieldDecl{
-						line: a.m.Fset.Position(fld.Pos()).Line,
-						pos:  fld.Pos(),
-					}
+					d := fieldDecl{pos: fld.Pos()}
 					for _, name := range fld.Names {
 						if v, ok := p.Info.Defs[name].(*types.Var); ok {
 							d.names = append(d.names, name.Name)
@@ -158,9 +166,6 @@ func (a *lockAnalysis) collect(report func(token.Pos, string, ...any)) {
 				structs = append(structs, sd)
 				return true
 			})
-			// Structs appear sequentially in a file, so per-struct field
-			// order is global line order: consuming directives struct by
-			// struct preserves the consume-in-line-order contract.
 			for _, sd := range structs {
 				mutexNames := map[string]bool{}
 				for _, fld := range sd.fields {
@@ -171,36 +176,22 @@ func (a *lockAnalysis) collect(report func(token.Pos, string, ...any)) {
 					}
 				}
 				for _, fld := range sd.fields {
-					g, ok := a.m.takeGuarded(filename, fld.line, fld.line)
-					if !ok {
-						g, ok = a.m.takeGuarded(filename, fld.line-1, fld.line-1)
-					}
-					if ok {
-						a.attachGuard(sd.name, fld.pos, fld.vars, g.arg, fld.atomic, mutexNames, report)
+					if arg := a.annotation(fld.vars[0], verbGuardedBy); arg != "" {
+						a.attachGuard(sd.name, fld.pos, fld.vars, arg, fld.atomic, mutexNames, report)
 					} else if len(mutexNames) > 0 && !fld.isMutex {
 						report(fld.pos, "field %s of mutex-guarded struct %s has no //rarlint:guardedby annotation",
 							fld.names[0], sd.name)
 					}
 				}
 			}
-			// Locked contracts attach to method declarations (func line or
-			// doc comment), like pure.
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Recv == nil {
 					continue
 				}
-				funcLine := a.m.Fset.Position(fd.Pos()).Line
-				first := funcLine - 1
-				if fd.Doc != nil {
-					first = a.m.Fset.Position(fd.Doc.Pos()).Line
-				}
-				mu, ok := a.m.lockedAt(filename, first, funcLine)
-				if !ok {
-					continue
-				}
 				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if fn == nil {
+				mu := a.annotation(fn, verbLocked)
+				if mu == "" {
 					continue
 				}
 				if !recvHasMutexField(fn, mu) {

@@ -45,104 +45,17 @@ var pureExternalFuncs = map[string]bool{
 	"fmt.Sprintln": true,
 }
 
-// impureOp is one rejected operation inside a pure closure.
-type impureOp struct {
-	pos  token.Pos
-	what string
-}
-
-// purityFacts caches the per-function analysis.
-type purityFacts struct {
-	ops     []impureOp
-	callees []*funcInfo
-}
-
 func purity(m *Module) []Diagnostic {
-	fi := buildFuncIndex(m)
-
-	// Roots: declarations carrying //rarlint:pure (on the func line or
-	// anywhere in its doc comment). Collected over all FuncDecls, not
-	// just bodied ones, so attachment marking sees every candidate.
-	var roots []*funcInfo
-	for _, p := range m.Pkgs {
-		for _, f := range p.Files {
-			if m.isTestFile(f) {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				funcLine := m.Fset.Position(fd.Pos()).Line
-				first := funcLine - 1
-				if fd.Doc != nil {
-					first = m.Fset.Position(fd.Doc.Pos()).Line
-				}
-				if !m.pureAt(m.fileName(f), first, funcLine) {
-					continue
-				}
-				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if info := fi.lookup(fn); info != nil {
-					roots = append(roots, info)
-				}
-			}
-		}
-	}
-
-	var diags []Diagnostic
-	facts := map[*funcInfo]*purityFacts{}
-	reported := map[impureOp]bool{}
-	for _, root := range roots {
-		rootName := funcName(root.pkg, root.fn)
-		visited := map[*funcInfo]bool{root: true}
-		queue := []*funcInfo{root}
-		for len(queue) > 0 {
-			info := queue[0]
-			queue = queue[1:]
-			ft := facts[info]
-			if ft == nil {
-				ft = computePurityFacts(fi, info)
-				facts[info] = ft
-			}
-			for _, op := range ft.ops {
-				if reported[op] {
-					continue
-				}
-				reported[op] = true
-				msg := fmt.Sprintf("//rarlint:pure function %s %s", rootName, op.what)
-				if info != root {
-					msg = fmt.Sprintf("function %s %s, reachable from //rarlint:pure %s",
-						funcName(info.pkg, info.fn), op.what, rootName)
-				}
-				diags = append(diags, Diagnostic{
-					Pos: m.Fset.Position(op.pos), Check: "purity", Message: msg,
-				})
-			}
-			for _, callee := range ft.callees {
-				if !visited[callee] {
-					visited[callee] = true
-					queue = append(queue, callee)
-				}
-			}
-		}
-	}
-
-	diags = append(diags, unattachedDirectives(m, verbPure, "purity", m.pures,
-		func(d *pureDecl) bool { return d.used })...)
-	return diags
+	return closureCheck(m, verbPure, "purity", m.purityFacts)
 }
 
-// computePurityFacts scans one function body for impure operations and
+// purityFacts scans one function body for impure operations and
 // resolvable module callees.
-func computePurityFacts(fi *funcIndex, info *funcInfo) *purityFacts {
+func (m *Module) purityFacts(info *funcInfo) (ops []impureOp, callees []*funcInfo) {
 	p, fd := info.pkg, info.decl
-	ft := &purityFacts{}
 	impure := func(pos token.Pos, format string, args ...any) {
-		ft.ops = append(ft.ops, impureOp{pos: pos, what: fmt.Sprintf(format, args...)})
+		ops = append(ops, impureOp{pos: pos, what: fmt.Sprintf(format, args...)})
 	}
-	calleeSeen := map[*funcInfo]bool{}
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -169,23 +82,25 @@ func computePurityFacts(fi *funcIndex, info *funcInfo) *purityFacts {
 		case *ast.SendStmt:
 			impure(n.Pos(), "sends on channel %s", types.ExprString(n.Chan))
 		case *ast.CallExpr:
-			classifyPureCall(fi, info, n, impure, calleeSeen, &ft.callees)
+			if callee := classifyPureCall(m, info, n, impure); callee != nil {
+				callees = append(callees, callee)
+			}
 		}
 		return true
 	})
-	return ft
+	return ops, callees
 }
 
 // classifyPureCall decides what a call means for purity: a builtin with
-// known semantics, a module function to follow, a whitelisted external,
-// or an impure operation.
-func classifyPureCall(fi *funcIndex, info *funcInfo, call *ast.CallExpr,
-	impure func(token.Pos, string, ...any), seen map[*funcInfo]bool, callees *[]*funcInfo) {
+// known semantics, a module function to follow (returned), a
+// whitelisted external, or an impure operation.
+func classifyPureCall(m *Module, info *funcInfo, call *ast.CallExpr,
+	impure func(token.Pos, string, ...any)) *funcInfo {
 	p, fd := info.pkg, info.decl
 
 	// Type conversions are value operations.
 	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() {
-		return
+		return nil
 	}
 
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
@@ -209,7 +124,7 @@ func classifyPureCall(fi *funcIndex, info *funcInfo, call *ast.CallExpr,
 			default: // print, println, unsafe helpers, ...
 				impure(call.Pos(), "calls builtin %s", id.Name)
 			}
-			return
+			return nil
 		}
 	}
 
@@ -217,27 +132,23 @@ func classifyPureCall(fi *funcIndex, info *funcInfo, call *ast.CallExpr,
 	if fn == nil {
 		impure(call.Pos(), "calls %s, which is not statically resolvable (function value)",
 			types.ExprString(call.Fun))
-		return
+		return nil
 	}
-	if callee := fi.lookup(fn); callee != nil {
-		if !seen[callee] {
-			seen[callee] = true
-			*callees = append(*callees, callee)
-		}
-		return
+	if callee := m.funcs[fn]; callee != nil {
+		return callee
 	}
 	name := funcName(p, fn)
 	if fn.Pkg() != nil {
 		path := fn.Pkg().Path()
-		if pureExternalPkgs[path] || pureExternalFuncs[path+"."+fn.Name()] {
-			return
+		if !pureExternalPkgs[path] && !pureExternalFuncs[path+"."+fn.Name()] {
+			impure(call.Pos(), "calls %s, which is outside the pure whitelist", name)
 		}
-		impure(call.Pos(), "calls %s, which is outside the pure whitelist", name)
-		return
+		return nil
 	}
 	// A *types.Func without a package is an interface method or error();
 	// its dynamic target is unknowable.
 	impure(call.Pos(), "calls %s through an interface, whose dynamic target is not statically pure", name)
+	return nil
 }
 
 // localWritable reports whether writing through expr can only touch

@@ -23,44 +23,17 @@ package lint
 import (
 	"fmt"
 	"go/types"
-	"sort"
 )
 
 func statsHygiene(m *Module) []Diagnostic {
-	audited := map[*types.Var]bool{}
-	var fields []*types.Var // declaration order for deterministic output
-	owner := map[*types.Var]string{}
-
-	for _, p := range m.Pkgs {
-		if !m.IsInternal(p) {
-			continue
-		}
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			if name != "Stats" && name != "Metrics" {
-				continue
-			}
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || m.isTestPos(tn.Pos()) {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				fv := st.Field(i)
-				audited[fv] = true
-				fields = append(fields, fv)
-				owner[fv] = p.Types.Name() + "." + name
-			}
-		}
-	}
-	if len(audited) == 0 {
+	fields, owner := auditedFields(m, func(p *Package, name string) bool {
+		return m.IsInternal(p) && (name == "Stats" || name == "Metrics")
+	})
+	if len(fields) == 0 {
 		return nil
 	}
 
-	ff := &fieldFlow{mod: m, audited: audited}
+	ff := &fieldFlow{mod: m, audited: owner}
 	ff.run()
 
 	reads := map[*types.Var]int{}
@@ -93,6 +66,5 @@ func statsHygiene(m *Module) []Diagnostic {
 			Message: msg,
 		})
 	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos.Offset < diags[j].Pos.Offset })
 	return diags
 }

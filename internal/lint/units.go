@@ -150,20 +150,19 @@ var (
 
 func knownVal(d dim) dimval { return dimval{known: true, d: d} }
 
-// unitsAnalysis holds the annotation maps for one run.
+// unitsAnalysis holds the declared dimensions of annotated struct
+// fields and functions for one run.
 type unitsAnalysis struct {
-	m          *Module
-	fieldUnits map[*types.Var]dim
-	funcUnits  map[*types.Func]dim
+	units map[types.Object]dim
 }
 
 func unitsCheck(m *Module) []Diagnostic {
-	a := &unitsAnalysis{
-		m:          m,
-		fieldUnits: map[*types.Var]dim{},
-		funcUnits:  map[*types.Func]dim{},
+	a := &unitsAnalysis{units: map[types.Object]dim{}}
+	for k, d := range m.annots {
+		if k.verb == verbUnit && d.bad == "" {
+			a.units[k.obj], _ = parseUnit(d.arg())
+		}
 	}
-	a.collect()
 
 	var diags []Diagnostic
 	report := func(pos token.Pos, format string, args ...any) {
@@ -180,95 +179,7 @@ func unitsCheck(m *Module) []Diagnostic {
 			a.checkFile(p, f, report)
 		}
 	}
-	diags = append(diags, unattachedDirectives(m, verbUnit, "units", m.units,
-		func(d *unitDecl) bool { return d.used })...)
-	return diags
-}
-
-// collect walks every non-test file matching unit directives to struct
-// fields (same line, else the line above) and to function declarations
-// (func line or doc comment). Fields are matched in line order so a
-// directive trailing one field is never mistaken for a standalone
-// directive above the next.
-func (a *unitsAnalysis) collect() {
-	for _, p := range a.m.Pkgs {
-		for _, f := range p.Files {
-			if a.m.isTestFile(f) {
-				continue
-			}
-			filename := a.m.fileName(f)
-			type fieldAt struct {
-				line int
-				vars []*types.Var
-			}
-			var fields []fieldAt
-			var funcs []*ast.FuncDecl
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					funcs = append(funcs, n)
-					return true
-				case *ast.StructType:
-					for _, fld := range n.Fields.List {
-						var vars []*types.Var
-						for _, name := range fld.Names {
-							if v, ok := p.Info.Defs[name].(*types.Var); ok {
-								vars = append(vars, v)
-							}
-						}
-						if len(vars) > 0 {
-							fields = append(fields, fieldAt{line: a.m.Fset.Position(fld.Pos()).Line, vars: vars})
-						}
-					}
-				}
-				return true
-			})
-			sort.Slice(fields, func(i, j int) bool { return fields[i].line < fields[j].line })
-			for _, fld := range fields {
-				if d, ok := a.takeUnit(filename, fld.line, fld.line); ok {
-					for _, v := range fld.vars {
-						a.fieldUnits[v] = d
-					}
-				} else if d, ok := a.takeUnit(filename, fld.line-1, fld.line-1); ok {
-					for _, v := range fld.vars {
-						a.fieldUnits[v] = d
-					}
-				}
-			}
-			for _, fd := range funcs {
-				funcLine := a.m.Fset.Position(fd.Pos()).Line
-				first := funcLine - 1
-				if fd.Doc != nil {
-					first = a.m.Fset.Position(fd.Doc.Pos()).Line
-				}
-				if d, ok := a.takeUnit(filename, first, funcLine); ok {
-					if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-						a.funcUnits[fn] = d
-					}
-				}
-			}
-		}
-	}
-}
-
-// takeUnit consumes the first unused, parseable unit directive in the
-// line range. Unparseable directives are consumed too — they are
-// already lint findings — but yield no annotation.
-func (a *unitsAnalysis) takeUnit(filename string, firstLine, lastLine int) (dim, bool) {
-	byLine := a.m.units[filename]
-	for line := firstLine; line <= lastLine; line++ {
-		for _, u := range byLine[line] {
-			if u.used {
-				continue
-			}
-			u.used = true
-			if d, err := parseUnit(u.expr); err == nil {
-				return d, true
-			}
-			return nil, false
-		}
-	}
-	return nil, false
+	return append(diags, m.unattached(verbUnit, "units", attached)...)
 }
 
 // checkFile enforces the three unit rules over one file.
@@ -336,7 +247,7 @@ func (a *unitsAnalysis) checkReturns(p *Package, fd *ast.FuncDecl, report func(t
 	if !ok || fd.Body == nil {
 		return
 	}
-	declared, ok := a.funcUnits[fn]
+	declared, ok := a.units[fn]
 	if !ok {
 		return
 	}
@@ -370,7 +281,7 @@ func (a *unitsAnalysis) dimOf(p *Package, e ast.Expr) dimval {
 	case *ast.SelectorExpr:
 		if s := p.Info.Selections[ex]; s != nil && s.Kind() == types.FieldVal {
 			if fv, ok := s.Obj().(*types.Var); ok {
-				if d, ok := a.fieldUnits[fv]; ok {
+				if d, ok := a.units[fv]; ok {
 					return knownVal(d)
 				}
 			}
@@ -384,7 +295,7 @@ func (a *unitsAnalysis) dimOf(p *Package, e ast.Expr) dimval {
 			return a.dimOf(p, ex.Args[0]) // conversions preserve dimension
 		}
 		if fn := calleeFunc(p, ex); fn != nil {
-			if d, ok := a.funcUnits[fn]; ok {
+			if d, ok := a.units[fn]; ok {
 				return knownVal(d)
 			}
 		}

@@ -8,7 +8,10 @@ package serve
 // valid ones, so the API is discoverable from its error messages.
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 
 	"rarsim/internal/config"
@@ -16,10 +19,19 @@ import (
 	"rarsim/internal/trace"
 )
 
-// maxCells bounds one request's matrix so a single client cannot queue
-// an unbounded amount of simulation behind one POST. Bigger studies
-// split into several requests and still dedup/cache server-side.
-const maxCells = 4096
+// Per-request bounds, so a single client cannot queue an unbounded
+// amount of simulation (or upload) behind one POST. Bigger studies split
+// into several requests and still dedup/cache server-side.
+const (
+	// maxCells bounds one request's matrix.
+	maxCells = 4096
+	// maxInstructions bounds a cell's instruction and warmup counts at
+	// 100x the default 1M-instruction cell.
+	maxInstructions = 100_000_000
+	// maxBodyBytes bounds the request body; a real request is a few
+	// hundred bytes.
+	maxBodyBytes = 1 << 20
+)
 
 // MatrixRequest is the POST /matrix body. Empty lists select defaults:
 // the baseline core, the five headline schemes, and the memory-intensive
@@ -74,9 +86,26 @@ type matrixSpec struct {
 	keys    []sim.CellKey // cell identities in response order
 }
 
+// decodeMatrix reads one POST /matrix body, at most maxBodyBytes of it
+// (w, when non-nil, is told to close the connection past that), and
+// resolves it. Every error it returns is the client's.
+func decodeMatrix(w http.ResponseWriter, body io.ReadCloser) (*matrixSpec, error) {
+	var req MatrixRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	return resolve(req)
+}
+
 // resolve validates a request and maps its names onto built-in configs.
 func resolve(req MatrixRequest) (*matrixSpec, error) {
 	spec := &matrixSpec{}
+	if req.Instructions > maxInstructions || req.Warmup > maxInstructions {
+		return nil, fmt.Errorf("instructions %d / warmup %d exceed the per-cell limit of %d",
+			req.Instructions, req.Warmup, maxInstructions)
+	}
 
 	if len(req.Cores) == 0 {
 		spec.cores = []config.Core{config.Baseline()}

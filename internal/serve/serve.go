@@ -24,7 +24,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"strconv"
@@ -116,18 +115,15 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a MatrixRequest JSON body")
 		return
 	}
-	var req MatrixRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.clientErrs.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	spec, err := resolve(req)
+	spec, err := decodeMatrix(w, r.Body)
 	if err != nil {
 		s.clientErrs.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err.Error())
 		return
 	}
 	s.requests.Add(1)

@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -168,38 +169,58 @@ func TestETagRevalidation(t *testing.T) {
 }
 
 // TestValidation: unknown names are 400s that list the valid
-// vocabulary; oversized matrices and junk bodies are 400s too.
+// vocabulary; oversized matrices, over-long cells and junk bodies are
+// 400s too, and an oversized body is a 413. None reaches the engine.
 func TestValidation(t *testing.T) {
 	_, eng, ts := newTestServer(t)
 
-	req := testRequest()
-	req.Benches = []string{"no-such-bench"}
-	status, _, body := post(t, ts.URL+"/matrix", req, nil)
-	if status != http.StatusBadRequest {
-		t.Fatalf("unknown bench: status %d", status)
+	withReq := func(edit func(*MatrixRequest)) []byte {
+		req := testRequest()
+		edit(&req)
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
-	if !bytes.Contains(body, []byte("no-such-bench")) || !bytes.Contains(body, []byte("libquantum")) {
-		t.Errorf("error %s does not name the bad bench and the valid ones", body)
+	cases := []struct {
+		name   string
+		body   []byte
+		status int
+		want   []string // substrings of the error body
+	}{
+		{"unknown bench", withReq(func(r *MatrixRequest) { r.Benches = []string{"no-such-bench"} }),
+			http.StatusBadRequest, []string{"no-such-bench", "libquantum"}},
+		{"unknown scheme", withReq(func(r *MatrixRequest) { r.Schemes = []string{"RAR", "WRONG"} }),
+			http.StatusBadRequest, nil},
+		{"unknown core", withReq(func(r *MatrixRequest) { r.Cores = []string{"core-99"} }),
+			http.StatusBadRequest, nil},
+		{"junk body", []byte("{not json"), http.StatusBadRequest, nil},
+		{"huge instructions", []byte(`{"instructions": 1000000000000000000}`),
+			http.StatusBadRequest, []string{"100000000"}},
+		{"huge warmup", withReq(func(r *MatrixRequest) { r.Warmup = maxInstructions + 1 }),
+			http.StatusBadRequest, []string{"100000000"}},
+		{"huge body", append([]byte(`{"seed": 1`+strings.Repeat(" ", maxBodyBytes)), '}'),
+			http.StatusRequestEntityTooLarge, []string{"too large"}},
 	}
-
-	req = testRequest()
-	req.Schemes = []string{"RAR", "WRONG"}
-	if status, _, _ = post(t, ts.URL+"/matrix", req, nil); status != http.StatusBadRequest {
-		t.Errorf("unknown scheme: status %d", status)
-	}
-	req = testRequest()
-	req.Cores = []string{"core-99"}
-	if status, _, _ = post(t, ts.URL+"/matrix", req, nil); status != http.StatusBadRequest {
-		t.Errorf("unknown core: status %d", status)
-	}
-
-	resp, err := http.Post(ts.URL+"/matrix", "application/json", bytes.NewReader([]byte("{not json")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("junk body: status %d", resp.StatusCode)
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+"/matrix", "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, body)
+		}
+		for _, w := range tc.want {
+			if !bytes.Contains(body, []byte(w)) {
+				t.Errorf("%s: error %s does not mention %q", tc.name, body, w)
+			}
+		}
 	}
 
 	if m := eng.Metrics(); m.Simulated != 0 || m.Errors != 0 {
