@@ -53,6 +53,39 @@ func TestMainExitCodes(t *testing.T) {
 		}
 	})
 
+	t.Run("check-alias", func(t *testing.T) {
+		// -checks was once an alias for -check; it is gone, and a stale
+		// invocation must fail as a usage error instead of running every
+		// check or none.
+		var out, errb strings.Builder
+		code := Main([]string{"-checks", "determinism", filepath.Join("testdata", "determinism")}, &out, &errb)
+		if code != ExitError {
+			t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", code, ExitError, out.String(), errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("a refused flag still produced findings:\n%s", out.String())
+		}
+		if !strings.Contains(errb.String(), "-checks") {
+			t.Errorf("stderr does not name the refused flag:\n%s", errb.String())
+		}
+	})
+
+	t.Run("check-alias-unknown", func(t *testing.T) {
+		// The flag is refused before any check name is looked up, so an
+		// unknown name behind -checks reports the flag, not the check.
+		var out, errb strings.Builder
+		code := Main([]string{"-checks", "nosuch", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
+		if code != ExitError {
+			t.Fatalf("exit = %d, want %d", code, ExitError)
+		}
+		if strings.Contains(errb.String(), "unknown check") {
+			t.Errorf("stderr reports the check name instead of the refused flag:\n%s", errb.String())
+		}
+		if !strings.Contains(errb.String(), "-checks") {
+			t.Errorf("stderr does not name the refused flag:\n%s", errb.String())
+		}
+	})
+
 	t.Run("unknown-check", func(t *testing.T) {
 		var out, errb strings.Builder
 		code := Main([]string{"-check", "nosuch", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
