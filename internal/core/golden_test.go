@@ -51,6 +51,14 @@ var goldenStats = map[string]string{
 	"mcf/TR":               "695aa4f5a5506630",
 	"mcf/TR-EARLY":         "290c0fd902432b1f",
 	"mcf/PRE-EARLY":        "742e8d1e1e1e9398",
+	"exchange2/OoO":        "ec6253b9dbc9f0b7",
+	"exchange2/FLUSH":      "4819f3b816dcd02b",
+	"exchange2/PRE":        "b7af1f379a431ff5",
+	"exchange2/RAR-LATE":   "e66f4f5d369acb7a",
+	"exchange2/RAR":        "430bdd49c176449d",
+	"exchange2/TR":         "7ae18de92a2341b0",
+	"exchange2/TR-EARLY":   "a5431cdc3aa6be74",
+	"exchange2/PRE-EARLY":  "78f27a8d7dc4fbf4",
 }
 
 // Goldens of the audited and the fault-injected run below.
@@ -88,11 +96,12 @@ func checkGolden(t *testing.T, what string, v any, want string) {
 }
 
 // TestGoldenStats pins the full measured Stats of every scheme on a
-// memory-bound (libquantum) and a pointer-chasing (mcf) benchmark. Any
-// change to simulated timing, accounting or the ACE ledger moves a hash;
-// a change meant to be behaviour-preserving must leave them all alone.
+// memory-bound (libquantum), a pointer-chasing (mcf) and a compute-bound
+// (exchange2) benchmark. Any change to simulated timing, accounting or the
+// ACE ledger moves a hash; a change meant to be behaviour-preserving must
+// leave them all alone.
 func TestGoldenStats(t *testing.T) {
-	for _, bn := range []string{"libquantum", "mcf"} {
+	for _, bn := range []string{"libquantum", "mcf", "exchange2"} {
 		for _, s := range goldenSchemes() {
 			s, bn := s, bn
 			key := bn + "/" + s.Name

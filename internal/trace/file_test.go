@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -46,6 +48,29 @@ func TestTraceRoundTrip(t *testing.T) {
 	fs2.Next(&want)
 	if got.PC != want.PC {
 		t.Error("trace did not loop to the start")
+	}
+}
+
+// goldenTraceBytes pins the FNV-1a hash of the file WriteTrace records
+// for gems at seed 42, 10k instructions.
+const goldenTraceBytes = "85cefb64c03729ea"
+
+// TestWriteTraceGolden pins the exact bytes WriteTrace produces: header,
+// wrong-path parameters and every record. A change to how WriteTrace reads
+// its source must leave the recorded file alone.
+func TestWriteTraceGolden(t *testing.T) {
+	b, err := ByName("gems")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, b.Name, New(b, 42), 10_000); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenTraceBytes {
+		t.Errorf("trace bytes hash %s, golden %s", got, goldenTraceBytes)
 	}
 }
 
