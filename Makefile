@@ -50,18 +50,19 @@ bench:
 
 # bench-smoke is the CI variant: one quick iteration, schema validated,
 # output discarded — proves the harness runs, measures nothing. It runs
-# race-instrumented so the batched synthesis refill path (block buffer
-# shared between fetch and the generator) gets -race coverage on every
-# PR, not just when someone remembers `make race`.
+# race-instrumented; the block refill path it drives is also covered by
+# `make race`, since every core test reads instructions through it.
 bench-smoke:
 	$(GO) run -race ./cmd/bench -quick -o -
 
 # fuzz-smoke runs each native fuzz target for 15 s beyond its seeds
 # (the seeds alone run in every `go test`): ReadTrace on hostile trace
-# files and the POST /matrix decoder on hostile bodies. A failing input
+# files, the core running whatever traces ReadTrace accepts, and the
+# POST /matrix decoder on hostile bodies. A failing input
 # lands in the package's testdata/fuzz/ for `go test` to replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime=15s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzRunTrace$$' -fuzztime=15s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMatrixRequest$$' -fuzztime=15s ./internal/serve
 
 # serve-smoke stands up rarserved (race-instrumented, ephemeral port),
@@ -72,8 +73,8 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # microbench runs the tracked go-test microbenchmarks: the root engine
-# benchmarks, the block-vs-scalar uop synthesis pair in internal/trace,
-# and the warmed-window stage-loop benchmarks in internal/core.
+# benchmarks, the Next-vs-NextBlock synthesis pair in internal/trace,
+# and the warmed-window stage-loop benchmark in internal/core.
 microbench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/trace ./internal/core
 

@@ -6,10 +6,6 @@
 // performance-relevant changes gives the repo a perf history the same way
 // results/*.csv give it a results history.
 //
-// Every cell is also re-run through the scalar synthesis path and the two
-// runs' statistics are compared — so `make bench` doubles as an end-to-end
-// check of the batched-synthesis equivalence contract on real workloads.
-//
 // Usage:
 //
 //	go run ./cmd/bench                  # full measurement, writes BENCH_core.json
@@ -22,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"time"
 
@@ -206,18 +201,6 @@ func measure(n, warmup uint64, iters int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Batched-synthesis contract: the same cell driven through the
-		// scalar-only source face must be byte-identical (the block path
-		// is what the timed runs used — Generator implements BlockSource).
-		scalarStats, err := runScalar(cfg, c.scheme, bench, opt)
-		if err != nil {
-			return nil, err
-		}
-		if !reflect.DeepEqual(stats, scalarStats) {
-			return nil, fmt.Errorf("%s/%s: batched synthesis changed the results:\n batched: %+v\n  scalar: %+v",
-				c.scheme.Name, c.bench, stats, scalarStats)
-		}
-
 		total := warmup + n // throughput covers every simulated instruction
 		rep.Cells = append(rep.Cells, Cell{
 			Scheme:         c.scheme.Name,
@@ -315,19 +298,6 @@ func timeChip(spec chipSpec, n uint64, iters int) (*MulticoreCell, error) {
 		Schemes:        schemeNames,
 		SimInstsPerSec: rate(n*uint64(len(loads)), best),
 	}, nil
-}
-
-// runScalar runs one cell once with the generator's BlockSource face
-// hidden, forcing the scalar Next/WrongPath synthesis path end to end. Its
-// wall clock never enters the report — it exists purely to cross-check the
-// batched-synthesis equivalence contract on the real measured workloads.
-func runScalar(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, opt sim.Options) (core.Stats, error) {
-	c := core.NewFromSource(cfg, scheme, bench.Name, trace.ScalarOnly(trace.New(bench, opt.Seed)))
-	st, err := c.RunWarm(opt.Warmup, opt.Instructions)
-	if err != nil {
-		return core.Stats{}, fmt.Errorf("%s/%s scalar: %w", scheme.Name, bench.Name, err)
-	}
-	return st, nil
 }
 
 // timeCell runs one cell iters times and returns the best

@@ -40,11 +40,7 @@ type Core struct {
 	scheme config.Scheme
 	bits   ace.Bits
 
-	gen trace.Source
-	// genBlk is gen's batch face when it has one (trace.BlockSource);
-	// nil forces the scalar per-instruction path (A/B equivalence runs
-	// wrap the source in trace.ScalarOnly to get exactly that).
-	genBlk trace.BlockSource
+	gen    trace.BlockSource
 	stream *streamBuf
 	bp     *branch.Predictor
 	btb    *branch.BTB
@@ -187,9 +183,6 @@ type Core struct {
 	// detailed samples (sample.go).
 	draining bool
 
-	// ffInstructions counts instructions skipped functionally.
-	ffInstructions uint64
-
 	// watchdog is the no-commit deadline in cycles (see watchdogWindow).
 	watchdog uint64 //rarlint:unit cycles
 
@@ -314,8 +307,8 @@ func New(old *Core, cfg config.Core, scheme config.Scheme, bench trace.Benchmark
 }
 
 // NewFromSource builds a core running an arbitrary instruction source —
-// a recorded trace file, or any other Source implementation.
-func NewFromSource(cfg config.Core, scheme config.Scheme, name string, gen trace.Source) *Core {
+// a recorded trace file, or any other BlockSource implementation.
+func NewFromSource(cfg config.Core, scheme config.Scheme, name string, gen trace.BlockSource) *Core {
 	return NewWithHierarchy(nil, cfg, scheme, name, gen, mem.NewHierarchy(cfg.Mem))
 }
 
@@ -331,7 +324,7 @@ func NewFromSource(cfg config.Core, scheme config.Scheme, name string, gen trace
 // cfg needs them larger. Every field is reset first, so a recycled core
 // simulates exactly as a fresh one (TestRecycledCoreMatchesFresh); only
 // the garbage differs. h is taken as given either way.
-func NewWithHierarchy(old *Core, cfg config.Core, scheme config.Scheme, name string, gen trace.Source, h *mem.Hierarchy) *Core {
+func NewWithHierarchy(old *Core, cfg config.Core, scheme config.Scheme, name string, gen trace.BlockSource, h *mem.Hierarchy) *Core {
 	c := old
 	if c == nil {
 		c = new(Core)
@@ -383,9 +376,6 @@ func NewWithHierarchy(old *Core, cfg config.Core, scheme config.Scheme, name str
 		// L2-resident; the rare register that collects more waiters grows
 		// its own slice once and keeps it for the rest of the run.
 		waiterBacking: reuse.Zeroed(prev.waiterBacking, nRegs*waiterCap),
-	}
-	if b, ok := gen.(trace.BlockSource); ok {
-		c.genBlk = b
 	}
 	c.cwOvMin = math.MaxUint64
 	c.watchdog = watchdogWindow + DRAMStallAllowance(cfg)
@@ -473,23 +463,7 @@ func (c *Core) RunWarm(warmup, measured uint64) (Stats, error) {
 	lastCommit := base
 	lastCommitCycle := c.cycle
 	for c.s.Committed < total {
-		c.cycle++
-		c.ledger.SetCycle(c.cycle)
-		if c.injNext < len(c.injSamples) {
-			c.processInjections()
-		}
-		c.tickBlocked()
-		c.completeStage()
-		c.commitStage()
-		c.modeStage()
-		c.issueStage()
-		c.dispatchStage()
-		c.fetchStage()
-		c.drainStores()
-
-		if c.auditEvery > 0 && c.cycle%c.auditEvery == 0 {
-			c.audit() //rarlint:allow hotalloc audits are opt-in debugging, off in production sweeps
-		}
+		c.Step()
 		if !warmTaken && c.s.Committed >= warmTarget {
 			c.finalizeStats()
 			warm = c.s
@@ -514,14 +488,13 @@ func (c *Core) RunWarm(warmup, measured uint64) (Stats, error) {
 // Step advances the core by exactly one cycle. Run/RunWarm drive it
 // internally; multicore systems interleave Step calls across cores so
 // shared-LLC and DRAM contention resolves in lockstep.
+//
+//rarlint:hot
 func (c *Core) Step() {
 	c.cycle++
 	c.ledger.SetCycle(c.cycle)
 	if c.injNext < len(c.injSamples) {
 		c.processInjections()
-	}
-	if c.auditEvery > 0 && c.cycle%c.auditEvery == 0 {
-		c.audit()
 	}
 	c.tickBlocked()
 	c.completeStage()
@@ -533,6 +506,9 @@ func (c *Core) Step() {
 		c.fetchStage()
 	}
 	c.drainStores()
+	if c.auditEvery > 0 && c.cycle%c.auditEvery == 0 {
+		c.audit() //rarlint:allow hotalloc audits are opt-in debugging, off in production sweeps
+	}
 }
 
 // FFSkippedCycles returns 0: the simulator ticks every cycle. It remains

@@ -214,12 +214,10 @@ func (c *Core) startWrongPath(in *isa.Inst, predTaken bool) {
 //
 // Synthesised stretches are generated in batches: the whole remaining
 // run of synthetic slots in the group (clamped to a bounded hammock
-// body's remaining length) goes through one WrongPathBlock call instead
-// of one virtual dispatch each. The batch covers exactly the
-// instructions actually fetched this cycle — never more — because the
-// synthesiser's RNG is shared across wrong-path episodes, so
-// over-generating would perturb later episodes relative to the scalar
-// path.
+// body's remaining length) goes through one WrongPathBlock call. The
+// batch covers exactly the instructions actually fetched this cycle —
+// never more — because the synthesiser's RNG is shared across wrong-path
+// episodes, so over-generating would perturb later episodes.
 //
 //rarlint:hot
 func (c *Core) fetchWrongPathGroup() {
@@ -244,15 +242,8 @@ func (c *Core) fetchWrongPathGroup() {
 		if c.wpSynthetic > 0 && k > c.wpSynthetic {
 			k = c.wpSynthetic
 		}
-		if c.genBlk != nil {
-			//rarlint:allow hotalloc synthesiser dispatch is an interface call; the generators are allocation-free
-			c.genBlk.WrongPathBlock(c.wpScratch[:k], c.wpPC)
-		} else {
-			for i := 0; i < k; i++ {
-				//rarlint:allow hotalloc generator dispatch is an interface call; the generators are allocation-free
-				c.gen.WrongPath(&c.wpScratch[i], c.wpPC+uint64(i)*isa.InstBytes)
-			}
-		}
+		//rarlint:allow hotalloc synthesiser dispatch is an interface call; the generators are allocation-free
+		c.gen.WrongPathBlock(c.wpScratch[:k], c.wpPC)
 		for i := 0; i < k; i++ {
 			u := c.newUop()
 			u.inst = c.wpScratch[i]

@@ -64,7 +64,6 @@ func (c *Core) FastForward(n uint64) error {
 		released = idx + 1
 	}
 	c.stream.release(released)
-	c.ffInstructions += n
 	return nil
 }
 
@@ -89,17 +88,17 @@ func (c *Core) drain() error {
 }
 
 // RunSampled simulates `samples` detailed windows separated by functional
-// fast-forwards: each iteration skips ffInstructions functionally, then
+// fast-forwards: each iteration skips `skip` instructions functionally, then
 // simulates warmup+measured instructions in detail. The returned Stats
 // aggregate only the measured windows. Commit limits are managed per
 // window, so every sample measures exactly `measured` instructions.
-func (c *Core) RunSampled(samples int, ffInstructions, warmup, measured uint64) (Stats, error) {
+func (c *Core) RunSampled(samples int, skip, warmup, measured uint64) (Stats, error) {
 	if samples <= 0 {
 		return Stats{}, fmt.Errorf("core: need at least one sample")
 	}
 	var agg Stats
 	for k := 0; k < samples; k++ {
-		if err := c.FastForward(ffInstructions); err != nil {
+		if err := c.FastForward(skip); err != nil {
 			return agg, err
 		}
 		window, err := c.RunWarm(warmup, measured)

@@ -14,40 +14,29 @@ import (
 // the re-fetch that real hardware performs. Commit releases entries that
 // can never be re-fetched again.
 type streamBuf struct {
-	gen trace.Source
-	// blk is gen's batch face when it has one (see trace.BlockSource):
-	// refills then synthesise a whole block of instructions straight into
-	// buf with one call instead of one virtual dispatch per instruction.
-	blk  trace.BlockSource
+	// gen synthesises each refill block straight into buf.
+	gen  trace.BlockSource
 	buf  []isa.Inst
 	base uint64 // global index of buf[0]
 	cur  uint64 // global index of the next instruction to fetch
-	// refill is the block size per batched refill. Generating ahead of the
-	// cursor is safe: the correct-path stream is a pure deterministic
-	// sequence, so *when* an instruction is synthesised can never change
-	// *what* it is — the buffer contents are byte-identical to scalar,
-	// one-at-a-time generation.
+	// refill is the block size per refill. Generating ahead of the cursor
+	// is safe: the correct-path stream is a pure deterministic sequence,
+	// so *when* an instruction is synthesised can never change *what* it
+	// is.
 	refill int
-	// scratch receives each generated instruction on the scalar fallback
-	// path: passing a local's address through the trace.Source interface
-	// would force that local to the heap on every generated instruction.
-	scratch isa.Inst
 }
 
-// streamRefillBlock is the default batched-refill block size.
+// streamRefillBlock is the default refill block size.
 const streamRefillBlock = 64
 
 // newStreamBuf builds an empty buffer over gen. A non-nil old lends its
 // buffer's backing array, which already has its high-water capacity.
-func newStreamBuf(old *streamBuf, gen trace.Source) *streamBuf {
+func newStreamBuf(old *streamBuf, gen trace.BlockSource) *streamBuf {
 	s := old
 	if s == nil {
 		s = new(streamBuf)
 	}
 	*s = streamBuf{gen: gen, buf: s.buf[:0], refill: streamRefillBlock}
-	if b, ok := gen.(trace.BlockSource); ok {
-		s.blk = b
-	}
 	return s
 }
 
@@ -77,20 +66,13 @@ func (s *streamBuf) at(idx uint64) *isa.Inst {
 	return &s.buf[idx-s.base]
 }
 
-// fill extends buf by one refill block when the generator has a batch face,
-// or by a single instruction on the scalar fallback path. The buffer's
-// capacity quickly reaches a steady-state high-water mark (release keeps
-// the live window bounded by in-flight instructions plus one refill block),
-// after which refills run allocation-free.
+// fill extends buf by one refill block. The buffer's capacity quickly
+// reaches a steady-state high-water mark (release keeps the live window
+// bounded by in-flight instructions plus one refill block), after which
+// refills run allocation-free.
 //
 //rarlint:hot
 func (s *streamBuf) fill() {
-	if s.blk == nil {
-		//rarlint:allow hotalloc generator dispatch is an interface call; the generators are allocation-free
-		s.gen.Next(&s.scratch)
-		s.buf = append(s.buf, s.scratch)
-		return
-	}
 	n := len(s.buf)
 	if cap(s.buf)-n < s.refill {
 		//rarlint:allow hotalloc high-water capacity growth only; steady state appends in place
@@ -100,7 +82,7 @@ func (s *streamBuf) fill() {
 	}
 	s.buf = s.buf[:n+s.refill]
 	//rarlint:allow hotalloc block-source dispatch is an interface call; the generators are allocation-free
-	s.blk.NextBlock(s.buf[n : n+s.refill])
+	s.gen.NextBlock(s.buf[n : n+s.refill])
 }
 
 // cursor returns the current fetch position.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"rarsim/internal/config"
 	"rarsim/internal/trace"
 )
 
@@ -79,4 +81,35 @@ func TestStreamBufPanics(t *testing.T) {
 	}
 	mustPanic("rewind past release", func() { s.rewind(10) })
 	mustPanic("rewind forward", func() { s.rewind(s.cursor() + 5) })
+}
+
+// TestBatchedSynthesisHostileRefillSizes drives the stream buffer with
+// degenerate refill block sizes — 1 and a block far larger than the
+// front-end ring — and requires byte-identical Stats. Zero-length blocks
+// cannot refill anything (they would never make progress), so the
+// hostile-zero case lives in the trace package's block tests, where
+// NextBlock(nil) is pinned as a state-preserving no-op.
+func TestBatchedSynthesisHostileRefillSizes(t *testing.T) {
+	b, err := trace.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(refill int) Stats {
+		c := NewFromSource(config.Baseline(), config.RAR, b.Name, trace.New(b, 42))
+		if refill > 0 {
+			c.stream.refill = refill
+		}
+		st, err := c.RunWarm(2_000, 10_000)
+		if err != nil {
+			t.Fatalf("refill=%d: %v", refill, err)
+		}
+		return st
+	}
+	want := run(0) // default streamRefillBlock
+	for _, refill := range []int{1, 3, 4096} {
+		if got := run(refill); !reflect.DeepEqual(got, want) {
+			t.Errorf("refill=%d stats diverge from default:\n got: %+v\nwant: %+v",
+				refill, got, want)
+		}
+	}
 }

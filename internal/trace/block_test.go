@@ -165,38 +165,19 @@ func TestFileSourceBlockMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestScalarOnlyHidesBlockFace: the A/B wrapper must strip the batch face
-// while forwarding the scalar one untouched.
-func TestScalarOnlyHidesBlockFace(t *testing.T) {
-	wrapped := ScalarOnly(New(testBench(), 11))
-	if _, ok := wrapped.(BlockSource); ok {
-		t.Fatal("ScalarOnly still satisfies BlockSource")
-	}
-	want := collect(New(testBench(), 11), 1_000)
-	got := make([]isa.Inst, len(want))
-	for i := range got {
-		wrapped.Next(&got[i])
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("wrapped stream diverges at %d", i)
-		}
-	}
-}
-
-// BenchmarkGeneratorNext measures scalar synthesis through the Source
-// interface — the seed's per-instruction virtual-dispatch path.
+// BenchmarkGeneratorNext measures one-instruction synthesis through the
+// generator's concrete Next, the reference walk NextBlock batches.
 func BenchmarkGeneratorNext(b *testing.B) {
 	bm, err := ByName("x264")
 	if err != nil {
 		b.Fatal(err)
 	}
-	var src Source = New(bm, 42)
+	g := New(bm, 42)
 	var in isa.Inst
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src.Next(&in)
+		g.Next(&in)
 	}
 }
 

@@ -39,10 +39,10 @@ const (
 	recordBytes  = 32
 )
 
-// WriteTrace records n instructions from src into w. When src exposes
-// WrongPathParams (Generator does), the parameters are recorded so the
-// replay's synthetic wrong-path stream matches the original exactly.
-func WriteTrace(w io.Writer, name string, src Source, n uint64) error {
+// WriteTrace records the next n instructions from src into w. When src
+// exposes WrongPathParams (Generator does), the parameters are recorded so
+// the replay's synthetic wrong-path stream matches the original exactly.
+func WriteTrace(w io.Writer, name string, src BlockSource, n uint64) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(traceMagic); err != nil {
 		return err
@@ -65,9 +65,10 @@ func WriteTrace(w io.Writer, name string, src Source, n uint64) error {
 	}
 
 	var rec [recordBytes]byte
-	var in isa.Inst
+	var buf [1]isa.Inst
 	for i := uint64(0); i < n; i++ {
-		src.Next(&in)
+		src.NextBlock(buf[:])
+		in := &buf[0]
 		binary.LittleEndian.PutUint64(rec[0:8], in.PC)
 		binary.LittleEndian.PutUint64(rec[8:16], in.Addr)
 		binary.LittleEndian.PutUint64(rec[16:24], in.Target)
@@ -122,7 +123,7 @@ func atomicWriteFile(path string, write func(io.Writer) error) error {
 // target path is left untouched (no partial trace ever appears there), and
 // the gzip footer is always completed before the file can be renamed into
 // place.
-func WriteTraceFile(path, name string, src Source, n uint64) error {
+func WriteTraceFile(path, name string, src BlockSource, n uint64) error {
 	return atomicWriteFile(path, func(w io.Writer) error {
 		if strings.HasSuffix(path, ".gz") {
 			gz := gzip.NewWriter(w)
@@ -139,7 +140,7 @@ func WriteTraceFile(path, name string, src Source, n uint64) error {
 
 // FileSource replays a recorded trace. The recording is loaded into memory
 // and looped, so the stream is infinite like a Generator's. FileSource
-// implements Source.
+// implements BlockSource.
 type FileSource struct {
 	name  string
 	insts []isa.Inst
@@ -247,9 +248,8 @@ func (fs *FileSource) Next(in *isa.Inst) {
 }
 
 // NextBlock fills dst with the next len(dst) recorded instructions,
-// looping at the end — the batch face of Next (see BlockSource). Each
-// wrap-free stretch is one bulk copy instead of a per-record interface
-// call, which is where replayed traces spend their synthesis time.
+// looping at the end (see BlockSource). Each wrap-free stretch is one bulk
+// copy.
 //
 //rarlint:hot
 func (fs *FileSource) NextBlock(dst []isa.Inst) {
@@ -270,7 +270,7 @@ func (fs *FileSource) WrongPath(in *isa.Inst, pc uint64) {
 }
 
 // WrongPathBlock synthesises len(dst) consecutive wrong-path instructions
-// starting at pc — the batch face of WrongPath (see BlockSource).
+// starting at pc (see BlockSource).
 //
 //rarlint:hot
 func (fs *FileSource) WrongPathBlock(dst []isa.Inst, pc uint64) {

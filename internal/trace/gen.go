@@ -226,13 +226,10 @@ func (g *Generator) Next(in *isa.Inst) {
 	g.emitted++
 }
 
-// NextBlock fills dst with the next len(dst) correct-path instructions —
-// the batch face of Next (see BlockSource). One NextBlock call replaces
-// len(dst) virtual dispatches through the Source interface with direct
-// calls on the concrete generator, and lets the consumer synthesise
-// straight into its own buffer. The walk state afterwards is exactly that
-// of len(dst) consecutive Next calls, so block and scalar reads of the
-// same generator interleave freely.
+// NextBlock fills dst with the next len(dst) correct-path instructions
+// (see BlockSource), synthesising straight into the caller's buffer. The
+// walk state afterwards is exactly that of len(dst) consecutive Next
+// calls, so block and Next reads of the same generator interleave freely.
 //
 //rarlint:hot
 func (g *Generator) NextBlock(dst []isa.Inst) {
@@ -318,9 +315,9 @@ func (g *Generator) WrongPath(in *isa.Inst, pc uint64) {
 }
 
 // WrongPathBlock fills dst with len(dst) consecutive wrong-path
-// instructions starting at pc — the batch face of WrongPath (see
-// BlockSource). The synthesiser's RNG is consumed in exactly the scalar
-// order, so callers must only batch instructions that will all be fetched.
+// instructions starting at pc (see BlockSource). The synthesiser's RNG is
+// consumed exactly as by len(dst) WrongPath calls, so callers must only
+// request instructions that will all be fetched.
 //
 //rarlint:hot
 func (g *Generator) WrongPathBlock(dst []isa.Inst, pc uint64) {

@@ -2,52 +2,22 @@ package trace
 
 import "rarsim/internal/isa"
 
-// Source supplies a dynamic instruction stream to the simulated core: the
-// correct path via Next and synthetic wrong-path filler via WrongPath.
-// Generator (synthetic workloads) and FileSource (recorded traces) both
-// implement it.
-type Source interface {
-	// Next fills in with the next correct-path instruction. The stream
-	// is infinite; sources over finite recordings loop.
-	Next(in *isa.Inst)
-	// WrongPath fills in with a plausible wrong-path instruction at pc,
-	// used when fetch runs down a mispredicted, non-reconvergent path.
-	WrongPath(in *isa.Inst, pc uint64)
-}
-
-// BlockSource is the batch face of Source: a source that can fill a
-// caller-owned slice in one call instead of being driven one virtual
-// dispatch per instruction. The contract is byte-identical equivalence
-// with the scalar face — NextBlock(dst) leaves the source in exactly the
-// state of len(dst) consecutive Next calls and fills dst with exactly
-// those instructions, and WrongPathBlock(dst, pc) matches len(dst)
-// WrongPath calls at pc, pc+InstBytes, ... — so a consumer may freely mix
-// block and scalar reads of the same stream. A zero-length dst is a no-op.
-//
-// Generator and FileSource both implement it; the core's stream buffer
-// type-asserts for it and falls back to the scalar face otherwise (see
-// ScalarOnly, which deliberately hides it for A/B equivalence tests).
+// BlockSource supplies a dynamic instruction stream to the simulated core,
+// a caller-owned slice at a time: the correct path via NextBlock and
+// synthetic wrong-path filler via WrongPathBlock. Generator (synthetic
+// workloads) and FileSource (recorded traces) both implement it. A
+// zero-length dst is a no-op.
 type BlockSource interface {
-	Source
 	// NextBlock fills dst with the next len(dst) correct-path
-	// instructions.
+	// instructions. The stream is infinite; sources over finite
+	// recordings loop.
 	NextBlock(dst []isa.Inst)
-	// WrongPathBlock fills dst with len(dst) consecutive wrong-path
-	// instructions starting at pc (PCs advance by isa.InstBytes).
+	// WrongPathBlock fills dst with len(dst) consecutive plausible
+	// wrong-path instructions starting at pc (PCs advance by
+	// isa.InstBytes), used when fetch runs down a mispredicted,
+	// non-reconvergent path.
 	WrongPathBlock(dst []isa.Inst, pc uint64)
 }
-
-// ScalarOnly wraps src so only the scalar Source face is visible: the
-// returned source never satisfies BlockSource even when src does. It
-// exists for the batched-vs-scalar A/B equivalence harness — running the
-// same workload through a ScalarOnly-wrapped generator forces every
-// consumer onto the one-instruction-at-a-time path.
-func ScalarOnly(src Source) Source { return scalarOnly{src} }
-
-type scalarOnly struct{ src Source }
-
-func (w scalarOnly) Next(in *isa.Inst)                 { w.src.Next(in) }
-func (w scalarOnly) WrongPath(in *isa.Inst, pc uint64) { w.src.WrongPath(in, pc) }
 
 // wpSynth synthesises wrong-path instructions: a mix of ALU work and
 // scattered loads into a hot region, using scratch registers that never
@@ -69,11 +39,10 @@ func newWpSynth(seed, base uint64) *wpSynth {
 func (w *wpSynth) params() (seed, base uint64) { return w.seed, w.base }
 
 // wrongPathBlock synthesises len(dst) consecutive wrong-path instructions
-// starting at pc — the batch face of wrongPath, consuming the synthesiser's
-// RNG in exactly the same order. Callers must only batch instructions that
-// will all actually be fetched: the RNG state is shared across wrong-path
-// episodes, so over-generating would perturb later episodes relative to the
-// scalar path.
+// starting at pc, consuming the synthesiser's RNG exactly as len(dst)
+// wrongPath calls would. Callers must only request instructions that will
+// all actually be fetched: the RNG state is shared across wrong-path
+// episodes, so over-generating would perturb later episodes.
 func (w *wpSynth) wrongPathBlock(dst []isa.Inst, pc uint64) {
 	for i := range dst {
 		w.wrongPath(&dst[i], pc)

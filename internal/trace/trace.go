@@ -12,9 +12,9 @@
 // issue-queue pressure from long floating-point dependence chains (lbm).
 // See DESIGN.md §1 for the substitution rationale.
 //
-// A Generator walks the program and emits isa.Inst records one at a time.
-// Generation is pure and seeded: the same (Benchmark, seed) always produces
-// the same stream, byte for byte.
+// A Generator walks the program and fills caller-owned blocks of isa.Inst
+// records (BlockSource). Generation is pure and seeded: the same
+// (Benchmark, seed) always produces the same stream, byte for byte.
 package trace
 
 import "rarsim/internal/isa"
